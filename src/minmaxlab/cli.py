@@ -233,12 +233,16 @@ def _cmd_query_report(args) -> int:
     reports = sorted(run_dir.rglob("report.json"))
     for rep_path in reports:
         payload = json.loads(rep_path.read_text())
-        for run in payload.get("runs", []):
-            for key, value in run.get("ledger", {}).items():
-                totals[key] = max(totals.get(key, 0), value)
-        for ledger in payload.get("ledgers", {}).values():
+        # a report's run ledgers and instance ledgers are snapshots of one
+        # ledger: its count is their max; counts then add across reports
+        snapshots = [run.get("ledger", {}) for run in payload.get("runs", [])]
+        snapshots += payload.get("ledgers", {}).values()
+        peak: dict = {}
+        for ledger in snapshots:
             for key, value in ledger.items():
-                totals[key] = max(totals.get(key, 0), value)
+                peak[key] = max(peak.get(key, 0), value)
+        for key, value in peak.items():
+            totals[key] = totals.get(key, 0) + value
     print(json.dumps({"reports": len(reports), "ledger_totals": totals}, indent=2, sort_keys=True))
     return 0
 

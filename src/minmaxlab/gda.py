@@ -57,13 +57,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .boolinterp import interp_eval, interp_grad
 from .brouwer import BrouwerMap, build_brouwer, eval_F, eval_JF
 from .circuit import (
     BOT,
-    NOR,
-    ORACLE,
-    PURIFY,
     Assignment,
     CircuitInstance,
     Gate,
@@ -72,7 +68,7 @@ from .circuit import (
 )
 from .config import DEFAULTS
 from .ledger import QueryLedger
-from .smoothstep import ELL, G, NamedStep, named_step
+from .smoothstep import NamedStep, named_step
 
 _MAX_INT64 = 2**63 - 1
 
@@ -175,7 +171,7 @@ class GdaInstance:
 
     def flat_index(self, node: str, i: int, j: int) -> int:
         """Flat coordinate of (node, replica i in [1..n], inner j in [1..m])."""
-        v_idx = self.node_order.index(node)
+        v_idx = self.bmap.index(node)
         if not (1 <= i <= self.n and 1 <= j <= self.m):
             raise ValueError(f"replica/inner index out of range: ({i}, {j})")
         return (v_idx * self.n + (i - 1)) * self.m + (j - 1)
@@ -216,8 +212,8 @@ def _check_pair(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     y = np.asarray(y, dtype=float)
     if x.shape != (inst.dim,) or y.shape != (inst.dim,):
         raise ValueError(f"points must have shape ({inst.dim},)")
-    if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
-        raise ValueError("points outside [0,1]^d")
+    if not (x.min() >= 0.0 and x.max() <= 1.0 and y.min() >= 0.0 and y.max() <= 1.0):  # NaN fails
+        raise ValueError("points outside [0,1]^d or not finite")
     return x, y
 
 
@@ -238,28 +234,12 @@ def energy(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
     """E_v: 0 when the v-blocks of x and y are close (squared distance
     <= 3m), 1 when far (>= 3m + 1)."""
     x, y = _check_pair(inst, x, y)
-    v = inst.node_order.index(node)
-    return float(block_energies(inst, x, y)[v])
+    return float(block_energies(inst, x, y)[inst.bmap.index(node)])
 
 
 def _signals_from_energies(inst: GdaInstance, energies: np.ndarray) -> np.ndarray:
-    idx = {v: i for i, v in enumerate(inst.node_order)}
-    out = np.empty(len(inst.node_order))
-    for gate in inst.circuit.gates:
-        if gate.kind == NOR:
-            u, v = gate.inputs
-            (w,) = gate.outputs
-            out[idx[w]] = G(energies[idx[u]] + energies[idx[v]])
-        elif gate.kind == PURIFY:
-            (u,) = gate.inputs
-            first, second = gate.outputs
-            out[idx[first]] = ELL(energies[idx[u]] - 0.25)
-            out[idx[second]] = ELL(energies[idx[u]] + 0.25)
-        else:
-            (w,) = gate.outputs
-            evec = [float(energies[idx[u]]) for u in gate.inputs]
-            out[idx[w]] = interp_eval(evec, inst.circuit.oracle)
-    return out
+    table = inst.bmap.table
+    return np.array(table.values(energies.tolist(), table.signal_offsets, inst.circuit.oracle, range(inst.m)))
 
 
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,25 +250,19 @@ def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def signal(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
     """Gate-typed signal of a single node; ORACLE outputs consume at most
     one L query (via the interpolation)."""
-    x, y = _check_pair(inst, x, y)
-    return float(signals(inst, x, y)[inst.node_order.index(node)])
+    return float(signals(inst, x, y)[inst.bmap.index(node)])
 
 
 def _gadgets_from_blocks(
     inst: GdaInstance, bx: np.ndarray, by: np.ndarray
-) -> Tuple[np.ndarray, List[List[np.ndarray]]]:
-    """Per-node H_v plus the cached displacement vectors G(xi) per replica."""
-    V = len(inst.node_order)
-    H = np.zeros(V)
-    disp: List[List[np.ndarray]] = []
-    for v in range(V):
-        rows = []
-        for i in range(inst.n):
-            xi = 0.5 * (bx[v, i] + by[v, i])
-            gvec = eval_F(inst.bmap, xi) - xi
-            rows.append(gvec)
-            H[v] += float(np.dot(gvec, by[v, i] - bx[v, i]))
-        disp.append(rows)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-node H_v plus the displacements G(xi) of every replica, (|V|, n, m)."""
+    xi = 0.5 * (bx + by)
+    disp = np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
+    dots = np.matmul(disp[..., None, :], (by - bx)[..., :, None])[..., 0, 0]
+    H = np.zeros(inst.m)
+    for col in dots.T:  # replica by replica, the summation order of H_v
+        H += col
     return H, disp
 
 
@@ -321,27 +295,13 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
 def _signal_sensitivities(
     inst: GdaInstance, energies: np.ndarray
 ) -> List[List[Tuple[int, float]]]:
-    """For each node q, the list of (w, ds_w/dE_q) over w in Out(q)."""
-    idx = {v: i for i, v in enumerate(inst.node_order)}
-    sens: List[List[Tuple[int, float]]] = [[] for _ in inst.node_order]
-    for gate in inst.circuit.gates:
-        if gate.kind == NOR:
-            u, v = gate.inputs
-            (w,) = gate.outputs
-            slope = G.d1(energies[idx[u]] + energies[idx[v]])
-            sens[idx[u]].append((idx[w], slope))
-            sens[idx[v]].append((idx[w], slope))
-        elif gate.kind == PURIFY:
-            (u,) = gate.inputs
-            first, second = gate.outputs
-            sens[idx[u]].append((idx[first], ELL.d1(energies[idx[u]] - 0.25)))
-            sens[idx[u]].append((idx[second], ELL.d1(energies[idx[u]] + 0.25)))
-        else:
-            (w,) = gate.outputs
-            evec = [float(energies[idx[u]]) for u in gate.inputs]
-            grad = interp_grad(evec, inst.circuit.oracle)
-            for pos, u in enumerate(gate.inputs):
-                sens[idx[u]].append((idx[w], float(grad[pos])))
+    """For each node q, the list of (w, ds_w/dE_q) over w in Out(q), in gate order."""
+    table = inst.bmap.table
+    slopes = table.slopes(energies.tolist(), table.signal_offsets, inst.circuit.oracle, table.gate_order)
+    edges = [(u, w) for w in table.gate_order for u in table.inputs[w]]
+    sens: List[List[Tuple[int, float]]] = [[] for _ in range(inst.m)]
+    for (u, w), slope in zip(edges, slopes):
+        sens[u].append((w, slope))
     return sens
 
 
@@ -354,7 +314,6 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     """
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("grad_f_evals")
-    V = len(inst.node_order)
     bx, by = inst.blocks(x), inst.blocks(y)
     sq = _sqnorms(inst, x, y)
     energies = np.array([inst.energy_step(s) for s in sq])
@@ -364,32 +323,31 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     # Delta_q vanishes wherever the energy step sits on a plateau, which
     # is the common regime; the gadget values H (and their map queries)
     # are needed only when some block is in transition.
-    delta_q = np.zeros(V)
+    delta_q = np.zeros(inst.m)
     disp = None
     if np.any(ephi1 != 0.0):
         H, disp = _gadgets_from_blocks(inst, bx, by)
         sens = _signal_sensitivities(inst, energies)
-        for q in range(V):
+        for q in range(inst.m):
             if ephi1[q] != 0.0:
                 delta_q[q] = ephi1[q] * sum(H[w] * slope for w, slope in sens[q])
 
-    gx = np.zeros_like(bx)
-    gy = np.zeros_like(by)
-    eye = np.eye(inst.m)
-    for q in range(V):
-        for i in range(inst.n):
-            coupling = 2.0 * (inst.weights[i] + delta_q[q]) * (bx[q, i] - by[q, i])
-            if sig[q] == 0.0:
-                # the gadget term is silenced: no map queries needed
-                gx[q, i] = coupling
-                gy[q, i] = -coupling
-                continue
-            xi = 0.5 * (bx[q, i] + by[q, i])
-            gvec = disp[q][i] if disp is not None else eval_F(inst.bmap, xi) - xi
-            jac_g = eval_JF(inst.bmap, xi) - eye
-            rrow = 0.5 * (by[q, i] - bx[q, i]) @ jac_g
-            gx[q, i] = sig[q] * (-gvec + rrow) + coupling
-            gy[q, i] = sig[q] * (gvec + rrow) - coupling
+    coupling = 2.0 * (inst.weights[None, :, None] + delta_q[:, None, None]) * (bx - by)
+    gx, gy = coupling.copy(), -coupling
+    # blocks with a silenced gadget term (zero signal) need no map queries
+    live = np.flatnonzero(sig != 0.0)
+    m, bmap = inst.m, inst.bmap
+    xi = 0.5 * (bx[live] + by[live])
+    points = xi.reshape(-1, m)
+    if disp is None:
+        gvec = np.array([eval_F(bmap, p) for p in points]).reshape(xi.shape) - xi
+    else:
+        gvec = disp[live]
+    jac_g = np.array([eval_JF(bmap, p) for p in points]).reshape(xi.shape + (m,)) - np.eye(m)
+    rrow = np.matmul((0.5 * (by[live] - bx[live]))[..., None, :], jac_g)[..., 0, :]
+    s = sig[live][:, None, None]
+    gx[live] = s * (-gvec + rrow) + coupling[live]
+    gy[live] = s * (gvec + rrow) - coupling[live]
     return gx.reshape(inst.dim), gy.reshape(inst.dim)
 
 

@@ -73,6 +73,14 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(bmap, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [eval_F, eval_JF])
+    def test_non_finite_rejected(self, fn, bad):
+        bmap = build_brouwer(nor_loop())
+        with pytest.raises(ValueError):
+            fn(bmap, np.array([0.5, bad, 0.5]))
+        assert bmap.ledger.total() == 0
+
     def test_range(self):
         rng = np.random.default_rng(3)
         bmap = build_brouwer(oracle_attracting())

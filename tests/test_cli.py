@@ -98,6 +98,15 @@ class TestVerify:
         assert out["gap_ok"]
         assert "witness" in out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_point_exits_two(self, circ_file, tmp_path, capsys, bad):
+        points = tmp_path / "z.csv"
+        points.write_text(f"0.5,{bad},0.5,0.5\n")
+        assert main(["verify", str(circ_file), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_wrong_length_exits_two(self, circ_file, tmp_path):
         points = tmp_path / "short.bin"
         np.ones(2).astype("<f8").tofile(points)
@@ -191,6 +200,18 @@ class TestSolve:
         assert out["reports"] == 1
         # 2 per extragradient iteration plus 1 for the dichotomy gap
         assert out["ledger_totals"]["grad_f_evals"] == 2 * 20 + 1
+
+    def test_query_report_sums_reports(self, gda_file, tmp_path, capsys):
+        for steps in (20, 30):
+            out_dir = tmp_path / "reports" / f"steps{steps}"
+            args = ["solve", str(gda_file), "--algo", "pgda", "--steps", str(steps), "--out", str(out_dir)]
+            assert main(args) == 0
+        capsys.readouterr()
+        assert main(["query-report", str(tmp_path / "reports")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["reports"] == 2
+        # 1 per PGDA iteration plus 1 for the dichotomy gap, per report
+        assert out["ledger_totals"]["grad_f_evals"] == (20 + 1) + (30 + 1)
 
     def test_query_report_missing_dir(self):
         assert main(["query-report", "/nonexistent/dir"]) == 2

@@ -121,6 +121,19 @@ class TestInstance:
                     assert inst.flat_index(v, i, j) == k
                     k += 1
 
+    def test_unknown_node_rejected(self):
+        inst = scaled(nor_loop(), n=2)
+        x = np.full(inst.dim, 0.5)
+        assert inst.bmap.index("c") == 2
+        with pytest.raises(ValueError):
+            inst.bmap.index("zz")
+        with pytest.raises(ValueError):
+            inst.flat_index("zz", 1, 1)
+        with pytest.raises(ValueError):
+            energy(inst, "zz", x, x)
+        with pytest.raises(ValueError):
+            signal(inst, "zz", x, x)
+
 
 # ---------------------------------------------------------------------------
 # energies and signals
@@ -409,6 +422,18 @@ class TestEvalF:
         bad[0] = 1.2
         with pytest.raises(ValueError):
             eval_f(inst, bad, good)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [eval_f, eval_grad_f])
+    def test_non_finite_rejected(self, fn, bad):
+        inst = scaled(nor_loop(), n=2)
+        good = np.full(inst.dim, 0.5)
+        poisoned = good.copy()
+        poisoned[inst.dim // 2] = bad
+        for x, y in ((poisoned, good), (good, poisoned)):
+            with pytest.raises(ValueError):
+                fn(inst, x, y)
+        assert inst.ledger.total() == 0
 
 
 class TestGradient:
