@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .boolinterp import interp_eval, interp_grad
@@ -282,26 +281,69 @@ def grid_restart_point(bmap: BrouwerMap, resolution: int = 11) -> np.ndarray:
     return best_z
 
 
+def _first_cycle(succ: Dict[int, Dict[int, None]]) -> List[int]:
+    """Nodes of the first cycle a depth-first walk meets, or [] if there is
+    none.  Start nodes are taken in insertion order and out-edges in
+    first-insertion order, the walk networkx's find_cycle makes on the same
+    DiGraph, so both return the same cycle."""
+    visited = set()
+    for start in succ:
+        if start in visited:
+            continue
+        visited.add(start)
+        path, on_path = [start], {start}
+        walks = [iter(succ[start])]
+        while walks:
+            for head in walks[-1]:
+                if head in on_path:
+                    return path[path.index(head):]
+                if head not in visited:
+                    visited.add(head)
+                    path.append(head)
+                    on_path.add(head)
+                    walks.append(iter(succ[head]))
+                    break
+            else:
+                walks.pop()
+                on_path.remove(path.pop())
+    return []
+
+
 def feedback_cut(bmap: BrouwerMap) -> Tuple[List[int], List[int]]:
     """Greedy feedback vertex set of the gate graph, plus a propagation
-    order for the remaining nodes (topological in the cut-free graph)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(bmap.dim))
+    order for the remaining nodes (topological in the cut-free graph).
+
+    Each round removes the node of the first cycle with the most in- plus
+    out-edges in the remaining graph, the lowest index on ties.  The cut
+    fixes the iterates of cycle_cut_solve, so the cycle choice matters;
+    the tests check it against networkx."""
+    # successor and predecessor sets as insertion-ordered dicts: parallel
+    # edges collapse, self-loops stay, edges keep first-insertion order
+    succ: Dict[int, Dict[int, None]] = {v: {} for v in range(bmap.dim)}
+    pred: Dict[int, Dict[int, None]] = {v: {} for v in range(bmap.dim)}
     for w, inputs in enumerate(bmap.table.inputs):
         for u in inputs:
-            graph.add_edge(u, w)
+            succ[u][w] = None
+            pred[w][u] = None
     cut: List[int] = []
-    work = graph.copy()
     while True:
-        try:
-            cycle = nx.find_cycle(work)
-        except nx.NetworkXNoCycle:
+        cycle = _first_cycle(succ)
+        if not cycle:
             break
-        nodes_in_cycle = sorted({u for u, _ in cycle})
-        victim = max(nodes_in_cycle, key=lambda v: (work.in_degree(v) + work.out_degree(v), -v))
+        victim = max(cycle, key=lambda v: (len(pred[v]) + len(succ[v]), -v))
         cut.append(victim)
-        work.remove_node(victim)
-    order = list(nx.topological_sort(work))
+        for w in succ.pop(victim):
+            del pred[w][victim]  # drops a self-loop too, so pred.pop skips it
+        for u in pred.pop(victim):
+            del succ[u][victim]
+    # Kahn's algorithm; any topological order propagates the same values
+    indegree = {v: len(pred[v]) for v in succ}
+    order = [v for v in succ if not indegree[v]]
+    for v in order:
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
     return sorted(cut), order
 
 

@@ -27,6 +27,11 @@ from .circuit import circuit_from_json, validate_instance
 from .config import DEFAULTS
 
 
+def _dumps(payload) -> str:
+    """Strict JSON: a NaN or infinite value raises ValueError (exit 2)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _load_points(path: Path, expected: int) -> np.ndarray:
     if path.suffix.lower() == ".csv":
         vec = np.loadtxt(path, delimiter=",", dtype=float).reshape(-1)
@@ -50,14 +55,14 @@ def _cmd_build_brouwer(args) -> int:
     circuit = circuit_from_json(path.read_text())
     violations = validate_instance(circuit)
     if violations:
-        print(json.dumps({"valid": False, "violations": violations}, indent=2))
+        print(_dumps({"valid": False, "violations": violations}))
         return 1
     bmap = brouwer.build_brouwer(circuit)
     kinds = {}
     for gate in circuit.gates:
         kinds[gate.kind] = kinds.get(gate.kind, 0) + 1
     summary = {"valid": True, "dim": bmap.dim, "nodes": len(circuit.nodes), "gates": kinds}
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_dumps(summary))
     if args.out:
         from .circuit import circuit_to_json
 
@@ -73,9 +78,9 @@ def _cmd_build_gda(args) -> int:
         "replicas": inst.n,
         "params": inst.params.as_dict(),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_dumps(summary))
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        Path(args.out).write_text(_dumps(summary) + "\n")
     return 0
 
 
@@ -107,7 +112,7 @@ def _cmd_verify(args) -> int:
                 k: ("bot" if v is None else v) for k, v in result.assignment.values.items()
             }
             payload["violations"] = [g.label() for g in result.violations]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
         return 0 if result.gap_ok else 1
     circuit = circuit_from_json(inst_path.read_text())
     bmap = brouwer.build_brouwer(circuit)
@@ -126,7 +131,7 @@ def _cmd_verify(args) -> int:
         "violations": [g.label() for g in violations],
         "ledger": bmap.ledger.snapshot(),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
     return 0 if ok else 1
 
 
@@ -178,7 +183,7 @@ def _cmd_grad_check(args) -> int:
         "tol": args.tol,
         "ok": ok,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
     return 0 if ok else 1
 
 
@@ -196,7 +201,7 @@ def _cmd_solve(args) -> int:
             "ledger": inst.ledger.snapshot(),
             "mode": inst.params.mode,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
         return 0
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
     run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
@@ -210,18 +215,13 @@ def _cmd_solve(args) -> int:
             "violations": [g.label() for g in outcome.violations or []],
         }
     paths = harness.write_report([run], {"instance": inst.ledger.snapshot()}, args.out, extra=extra)
-    print(
-        json.dumps(
-            {
-                "algorithm": run.algorithm,
-                "best_gap": run.best_gap,
-                "aborted": run.aborted,
-                "reports": [str(p) for p in paths],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    payload = {
+        "algorithm": run.algorithm,
+        "best_gap": harness.finite_or_none(run.best_gap),
+        "aborted": run.aborted,
+        "reports": [str(p) for p in paths],
+    }
+    print(_dumps(payload))
     return 1 if run.aborted else 0
 
 
@@ -243,7 +243,8 @@ def _cmd_query_report(args) -> int:
                 peak[key] = max(peak.get(key, 0), value)
         for key, value in peak.items():
             totals[key] = totals.get(key, 0) + value
-    print(json.dumps({"reports": len(reports), "ledger_totals": totals}, indent=2, sort_keys=True))
+    payload = {"reports": len(reports), "ledger_totals": totals}
+    print(_dumps(payload))
     return 0
 
 

@@ -91,10 +91,10 @@ class BilinearToy:
 class SolverRun:
     algorithm: str
     step_size: float
-    iterations: int
+    iterations: int  # completed; fewer than requested when aborted
     seed: Optional[int]
     mode: str
-    best_gap: float
+    best_gap: float  # inf until a finite gap is seen
     best_point: Tuple[np.ndarray, np.ndarray]
     final_point: Tuple[np.ndarray, np.ndarray]
     gap_curve: List[Tuple[int, float]]
@@ -126,8 +126,10 @@ def _run_gda_family(
         raise ValueError("steps must be >= 1")
     if lr is None:
         lr = 0.1 / math.sqrt(steps)
-    if lr < 0:
-        raise ValueError("step size must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError("step size must be finite and >= 0")
+    if gap_every < 1:
+        raise ValueError("gap_every must be >= 1")
     x, y = _start_point(obj, seed, x0, y0)
     best_gap = math.inf
     best_point = (x.copy(), y.copy())
@@ -164,7 +166,7 @@ def _run_gda_family(
     return SolverRun(
         algorithm=algorithm,
         step_size=lr,
-        iterations=steps,
+        iterations=t if aborted else steps,
         seed=seed,
         mode=obj.mode,
         best_gap=best_gap,
@@ -301,6 +303,11 @@ def report_dir(override: Optional[str] = None) -> Path:
     return Path(env) if env else Path("reports")
 
 
+def finite_or_none(value: float) -> Optional[float]:
+    """A float for strict JSON: None (null) where it is NaN or infinite."""
+    return value if math.isfinite(value) else None
+
+
 def write_report(
     runs: Sequence[SolverRun],
     ledgers: Optional[Dict[str, Dict[str, int]]] = None,
@@ -334,7 +341,7 @@ def write_report(
                 "iterations": run.iterations,
                 "seed": run.seed,
                 "mode": run.mode,
-                "best_gap": run.best_gap,
+                "best_gap": finite_or_none(run.best_gap),
                 "aborted": run.aborted,
                 "diagnostic": run.diagnostic,
                 "ledger": dict(sorted(run.ledger_snapshot.items())),
@@ -344,5 +351,5 @@ def write_report(
         "ledgers": {k: dict(sorted(v.items())) for k, v in (ledgers or {}).items()},
         "extra": extra or {},
     }
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return [csv_path, json_path]

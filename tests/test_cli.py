@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,14 @@ class TestSolve:
         assert (out_dir / "gap_curves.csv").exists()
         assert (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--gap-every", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.5"]]
+    )
+    def test_bad_solver_settings_exit_two(self, gda_file, tmp_path, capsys, flags):
+        args = ["solve", str(gda_file), "--algo", "pgda", "--steps", "5", "--out", str(tmp_path)]
+        assert main(args + flags) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
 
@@ -215,3 +227,13 @@ class TestSolve:
 
     def test_query_report_missing_dir(self):
         assert main(["query-report", "/nonexistent/dir"]) == 2
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is a test-only reference for the feedback cut, never a
+    # runtime import
+    code = "import sys, minmaxlab, minmaxlab.cli; print('networkx' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

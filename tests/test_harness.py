@@ -83,6 +83,29 @@ class TestPgda:
         run = run_pgda(ExplodingObjective(), steps=10, lr=0.1)
         assert run.aborted
         assert "non-finite" in run.diagnostic
+        assert run.iterations == 0
+
+    def test_iterations_completed_before_abort(self):
+        class ExplodesAtThree(ZeroObjective):
+            def grad(self, x, y):
+                gx, gy = super().grad(x, y)
+                return (gx + math.nan if self.ledger.count("grad_f_evals") > 3 else gx), gy
+
+        run = run_pgda(ExplodesAtThree(), steps=10, lr=0.1)
+        assert run.aborted and run.iterations == 3
+        assert run_pgda(ZeroObjective(), steps=10, lr=0.1).iterations == 10
+
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf])
+    def test_bad_step_size_rejected(self, runner, lr):
+        with pytest.raises(ValueError, match="step size"):
+            runner(BilinearToy(), steps=5, lr=lr)
+
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize("gap_every", [0, -3])
+    def test_bad_gap_every_rejected(self, runner, gap_every):
+        with pytest.raises(ValueError, match="gap_every"):
+            runner(BilinearToy(), steps=5, lr=0.1, gap_every=gap_every)
 
 
 class TestExtragradient:
@@ -216,6 +239,19 @@ class TestReport:
         paths = write_report([run], out=str(tmp_path))
         payload = json.loads(paths[1].read_text())
         assert payload["runs"][0]["mode"] == "scaled"
+
+    def test_aborted_run_report_is_strict_json(self, tmp_path):
+        import json
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        run = run_pgda(ExplodingObjective(), steps=10, lr=0.1)
+        paths = write_report([run], out=str(tmp_path))
+        payload = json.loads(paths[1].read_text(), parse_constant=reject)
+        assert payload["runs"][0]["best_gap"] is None
+        assert payload["runs"][0]["iterations"] == 0
+        assert payload["runs"][0]["aborted"] is True
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MINMAXLAB_REPORT_DIR", str(tmp_path / "envdir"))

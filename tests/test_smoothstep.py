@@ -144,6 +144,50 @@ class TestDerivatives:
             assert math.isfinite(step_d2(spec, x))
 
 
+def _mp_step_derivative(spec, x, order):
+    """d^order step / dx^order at the float x, by mpmath at 60 digits.
+
+    Differentiates A/(A+B) on the lower half and -B/(A+B) (which differs
+    by the constant 1) on the upper half, so the tiny term near either
+    knee is not lost against 1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        c1, c2, t = mp.mpf(spec.c1), mp.mpf(spec.c2), mp.mpf(x)
+        lower = t - c1 < c2 - t
+
+        def f(u):
+            A, B = mp.exp(-1 / (u - c1)), mp.exp(-1 / (c2 - u))
+            return A / (A + B) if lower else -B / (A + B)
+
+        return mp.diff(f, t, order)
+
+
+# distances from a knee: one ulp and 1e-4 .. 1/720, where eta(a) =
+# exp(-1/a) underflows to 0 or a subnormal, then 1/700 .. 0.03, where it is
+# a normal float
+KNEE_OFFSETS = [None, 1e-4, 1 / 800, 1 / 745, 1 / 720, 1 / 700, 1 / 500, 0.005, 0.01, 0.03]
+
+
+class TestKneeDerivativesAgainstMpmath:
+    @pytest.mark.parametrize("curve", [G, ELL, ALPHA, named_step("energy", 1), named_step("energy", 4)],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_just_inside_knees(self, curve, side):
+        spec = curve.spec
+        for a in KNEE_OFFSETS:
+            if side == "lower":
+                x = math.nextafter(spec.c1, math.inf) if a is None else spec.c1 + a
+            else:
+                x = math.nextafter(spec.c2, -math.inf) if a is None else spec.c2 - a
+            for order, fn in ((1, step_d1), (2, step_d2)):
+                got = fn(spec, x)
+                exact = _mp_step_derivative(spec, x, order)
+                assert math.isfinite(got)
+                # relative where the derivative is a normal float; below
+                # 1e-300 an underflowed eta may flush it to 0 or a subnormal
+                assert abs(got - exact) <= 1e-12 * abs(exact) + 1e-300, (a, order, got, exact)
+
+
 class TestNamedSteps:
     def test_g_at_zero(self):
         assert G(0.0) == 1.0
