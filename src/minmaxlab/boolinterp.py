@@ -14,6 +14,13 @@ entry are computable with at most ONE query to q, and h(x) equals q(y)
 bit-exactly whenever x is within sup-norm distance 1/6 of vertex y.
 
 Entry-wise bounds: |grad h| <= e^12 / 2 and |D^2 h| <= 6 e^24.
+
+Each evaluation walks x once to check it (arity, every coordinate in
+[0,1]) and find the active vertex together.  Profile factors whose
+argument lies on a plateau of alpha (at or below 1/6, at or above 1/3)
+are alpha's own plateau values, taken without evaluating the step.
+BoolOracle.query accepts bits given as ints, numpy ints, bools or
+integral floats, and raises before charging its ledger on anything else.
 """
 
 from __future__ import annotations
@@ -50,13 +57,18 @@ class BoolOracle:
             raise ValueError("oracle arity must be >= 1")
 
     def query(self, bits: Sequence[int]) -> int:
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"oracle input must be bits, got {bits}")
+        vertex = []
+        for b in bits:
+            if b == 0:
+                vertex.append(0)
+            elif b == 1:
+                vertex.append(1)
+            else:
+                raise ValueError(f"oracle input must be bits 0 or 1, got {b!r}")
+        if len(vertex) != self.arity:
+            raise ValueError(f"expected {self.arity} bits, got {len(vertex)}")
         self.ledger.record(self.name)
-        out = self.fn(bits)
+        out = self.fn(tuple(vertex))
         if out not in (0, 1):
             raise ValueError(f"oracle output must be 0 or 1, got {out!r}")
         return int(out)
@@ -89,13 +101,21 @@ class BoolOracle:
         return cls(arity=arity, fn=fn, name=name, ledger=ledger or QueryLedger())
 
 
-def _check_point(x: Sequence[float], arity: int) -> Sequence[float]:
+def _checked_vertex(x: Sequence[float], arity: int) -> Optional[Bits]:
+    """active_vertex(x), after checking that x has `arity` coordinates in
+    [0,1] (NaN fails).  One walk: a coordinate strictly between 1/3 and 2/3
+    adds no bit, and every coordinate is checked either way."""
     if len(x) != arity:
         raise ValueError(f"point has {len(x)} coordinates, oracle arity is {arity}")
+    vertex = []
     for xi in x:
-        if not (0.0 <= xi <= 1.0):
+        if 0.0 <= xi <= 1.0 / 3.0:
+            vertex.append(0)
+        elif 2.0 / 3.0 <= xi <= 1.0:
+            vertex.append(1)
+        elif not 1.0 / 3.0 < xi < 2.0 / 3.0:
             raise ValueError(f"coordinates must lie in [0,1], got {xi}")
-    return x
+    return tuple(vertex) if len(vertex) == arity else None
 
 
 def active_vertex(x: Sequence[float]) -> Optional[Bits]:
@@ -115,16 +135,19 @@ def active_vertex(x: Sequence[float]) -> Optional[Bits]:
     return tuple(vertex)
 
 
-def _profile_factors(x: Sequence[float], vertex: Bits) -> list[float]:
-    """alpha(y_i + (1-2 y_i) x_i) for each coordinate, in index order."""
-    return [ALPHA(yi + (1 - 2 * yi) * xi) for xi, yi in zip(x, vertex)]
+_A1, _A2, _A_LO, _A_HI, _A_FLAT = ALPHA.plateau()
 
 
 def box_profile(x: Sequence[float], vertex: Bits) -> float:
     """Phi_vertex(x): 1 inside the 1/6-box, 0 outside the 1/3-box."""
     prod_ = 1.0
     for xi, yi in zip(x, vertex):
-        f = ALPHA(yi + (1 - 2 * yi) * xi)
+        t = yi + (1 - 2 * yi) * xi
+        if t <= _A1:
+            continue  # alpha(t) == _A_LO == 1.0 leaves the product as it is
+        if t >= _A2:
+            return 0.0  # alpha(t) == _A_HI == 0.0
+        f = ALPHA(t)
         if f == 0.0:
             return 0.0
         prod_ *= f
@@ -134,8 +157,7 @@ def box_profile(x: Sequence[float], vertex: Bits) -> float:
 def interp_eval(x: Sequence[float], oracle: BoolOracle) -> float:
     """h(x) in [0,1]; at most one oracle query, none when no vertex is active
     or the active vertex's profile vanishes (the value is 1/2 either way)."""
-    _check_point(x, oracle.arity)
-    vertex = active_vertex(x)
+    vertex = _checked_vertex(x, oracle.arity)
     if vertex is None:
         return 0.5
     prof = box_profile(x, vertex)
@@ -152,42 +174,44 @@ def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
     with sign_j = 1 - 2 y*_j.  At most one oracle query, none when the whole
     profile gradient vanishes (e.g. strictly inside the 1/6-box).
     """
-    _check_point(x, oracle.arity)
     n = oracle.arity
-    grad = np.zeros(n)
-    vertex = active_vertex(x)
+    vertex = _checked_vertex(x, n)
     if vertex is None:
-        return grad
-    args = [yi + (1 - 2 * yi) * xi for xi, yi in zip(x, vertex)]
-    factors = [ALPHA(a) for a in args]
-    d1s = [ALPHA.d1(a) for a in args]
-    prefix = np.ones(n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] * factors[i]
-    suffix = np.ones(n + 1)
+        return np.zeros(n)
+    factors, d1s = [], []
+    for xi, yi in zip(x, vertex):
+        t = yi + (1 - 2 * yi) * xi
+        if t <= _A1:
+            factors.append(_A_LO)
+            d1s.append(_A_FLAT)
+        elif t >= _A2:
+            factors.append(_A_HI)
+            d1s.append(_A_FLAT)
+        else:
+            factors.append(ALPHA(t))
+            d1s.append(ALPHA.d1(t))
+    prefix = [1.0]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    suffix = [1.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] * factors[i]
-    any_nonzero = False
-    for j in range(n):
-        sign = 1.0 - 2.0 * vertex[j]
-        gj = sign * d1s[j] * prefix[j] * suffix[j + 1]
-        grad[j] = gj
-        if gj != 0.0:
-            any_nonzero = True
-    if not any_nonzero:
-        return grad
+    grad = [(1.0 - 2.0 * yj) * dj * prefix[j] * suffix[j + 1]
+            for j, (yj, dj) in enumerate(zip(vertex, d1s))]
+    if not any(grad):
+        return np.array(grad)
     q = oracle.query(vertex)
-    grad *= q - 0.5
-    return grad
+    out = np.array(grad)
+    out *= q - 0.5
+    return out
 
 
 def interp_hess_entry(x: Sequence[float], oracle: BoolOracle, j: int, k: int) -> float:
     """Second partial d^2 h / dx_j dx_k at x; at most one oracle query."""
-    _check_point(x, oracle.arity)
     n = oracle.arity
+    vertex = _checked_vertex(x, n)
     if not (0 <= j < n and 0 <= k < n):
         raise ValueError(f"indices out of range for arity {n}: ({j}, {k})")
-    vertex = active_vertex(x)
     if vertex is None:
         return 0.0
     args = [yi + (1 - 2 * yi) * xi for xi, yi in zip(x, vertex)]
@@ -223,7 +247,7 @@ def dense_sum_eval(x: Sequence[float], fn: Callable[[Bits], int], arity: int) ->
     equivalence.  Takes the raw (uncounted) function, and is gated to
     small arities since it is exponential.
     """
-    _check_point(x, arity)
+    _checked_vertex(x, arity)  # validates x
     if arity > DEFAULTS.dense_sum_max_arity:
         raise ValueError(f"dense sum gated to arity <= {DEFAULTS.dense_sum_max_arity}")
     acc = 0.5

@@ -15,9 +15,15 @@ once per evaluation, so a full F or Jacobian evaluation costs at most
 build_brouwer compiles the circuit once into a GateTable, whose values
 and slopes methods are the only place gate semantics are dispatched: F,
 its Jacobian, the feedback cut and the min-max signals of gda.py all
-read it.  eval_F and eval_JF take one point, and each call charges
-exactly one F_evals / JF_evals, so calls and ledger counts agree (the
-benchmark's traced run checks this); batches are loops over calls.
+read it.  The kernel is plateau-first: a NOR input sum at or beyond a
+knee of g (1/3, 2/3), or a PURIFY input at or beyond a knee of ell
+(5/12, 7/12), gets the step's constant value and zero slope (signed as
+the step gives it) from NamedStep.plateau; only inputs inside the
+transition band evaluate G or ELL, so smoothstep stays the one formula.
+
+eval_F and eval_JF take one point, and each call charges exactly one
+F_evals / JF_evals, so calls and ledger counts agree (the benchmark's
+traced run checks this); batches are loops over calls.
 
 A point with residual ||F(z) - z||_inf <= 1/12 decodes to a satisfying
 circuit assignment by thresholding: 0 at z_v <= 1/6, 1 at z_v >= 5/6,
@@ -55,6 +61,9 @@ from .circuit import (
 from .config import DEFAULTS
 from .ledger import QueryLedger
 from .smoothstep import ELL, G
+
+_G_PLATEAU = G.plateau()
+_ELL_PLATEAU = ELL.plateau()
 
 
 @dataclass(frozen=True)
@@ -94,28 +103,43 @@ class GateTable:
                    tuple(signal_offsets), tuple(gate_order), jac_index)
 
     def values(self, vals: Sequence[float], offsets: Sequence[float], oracle, rows: Iterable[int]) -> List[float]:
-        """Smooth response of each row's gate to the coordinate values `vals`."""
-        out = []
+        """Smooth response of each row's gate to the coordinate values `vals`.
+
+        Inputs at or beyond a knee get the step's plateau value without a
+        call; only the transition band evaluates G or ELL."""
+        kinds, inputs = self.kinds, self.inputs
+        g1, g2, g_lo, g_hi, _ = _G_PLATEAU
+        e1, e2, e_lo, e_hi, _ = _ELL_PLATEAU
+        out: List[float] = []
+        append = out.append
         for w in rows:
-            kind, ins = self.kinds[w], self.inputs[w]
+            kind, ins = kinds[w], inputs[w]
             if kind == NOR:
-                out.append(G(vals[ins[0]] + vals[ins[1]]))
+                x = vals[ins[0]] + vals[ins[1]]
+                append(g_lo if x <= g1 else g_hi if x >= g2 else G(x))
             elif kind == PURIFY:
-                out.append(ELL(vals[ins[0]] + offsets[w]))
+                x = vals[ins[0]] + offsets[w]
+                append(e_lo if x <= e1 else e_hi if x >= e2 else ELL(x))
             else:
-                out.append(interp_eval([vals[i] for i in ins], oracle))
+                append(interp_eval([vals[i] for i in ins], oracle))
         return out
 
     def slopes(self, vals: Sequence[float], offsets: Sequence[float], oracle, rows: Iterable[int]) -> List[float]:
         """d response / d input for each input of each row's gate, flattened row by row."""
+        kinds, inputs = self.kinds, self.inputs
+        g1, g2, _, _, g_flat = _G_PLATEAU
+        e1, e2, _, _, e_flat = _ELL_PLATEAU
         out: List[float] = []
+        append = out.append
         for w in rows:
-            kind, ins = self.kinds[w], self.inputs[w]
+            kind, ins = kinds[w], inputs[w]
             if kind == NOR:
-                slope = G.d1(vals[ins[0]] + vals[ins[1]])
+                x = vals[ins[0]] + vals[ins[1]]
+                slope = g_flat if x <= g1 or x >= g2 else G.d1(x)
                 out += (slope, slope)
             elif kind == PURIFY:
-                out.append(ELL.d1(vals[ins[0]] + offsets[w]))
+                x = vals[ins[0]] + offsets[w]
+                append(e_flat if x <= e1 or x >= e2 else ELL.d1(x))
             else:
                 out += interp_grad([vals[i] for i in ins], oracle).tolist()
         return out

@@ -139,6 +139,7 @@ def _cmd_grad_check(args) -> int:
     inst_path = Path(args.instance)
     rng = np.random.default_rng(args.seed)
     h = args.h
+    harness.check_fd_step(h)
     if _is_gda_descriptor(inst_path):
         inst = gda.load_gda_descriptor(inst_path)
 
@@ -168,16 +169,12 @@ def _cmd_grad_check(args) -> int:
                 down[j] -= h
                 fd_col = (brouwer.eval_F(bmap, up) - brouwer.eval_F(bmap, down)) / (2 * h)
                 for i in range(bmap.dim):
-                    err = float(abs(fd_col[i] - jac[i, j]))
-                    scale = float(max(abs(fd_col[i]), abs(jac[i, j])))
-                    if scale > 1.0:
-                        err /= scale
-                    worst = max(worst, err)
+                    worst = max(worst, harness.fd_error(fd_col[i], jac[i, j]))
             checked += 1
         rep = harness.FdReport(worst, None, None, checked)
     ok = bool(rep.max_rel_err <= args.tol)
     payload = {
-        "max_rel_err": float(rep.max_rel_err),
+        "max_rel_err": harness.finite_or_none(float(rep.max_rel_err)),
         "checked": rep.checked,
         "h": h,
         "tol": args.tol,

@@ -240,6 +240,22 @@ class FdReport:
     skipped: List[Tuple[int, str]] = field(default_factory=list)
 
 
+def check_fd_step(h: float) -> None:
+    """A central-difference step must be finite and positive."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+
+
+def fd_error(fd: float, analytic: float) -> float:
+    """|fd - analytic|, divided by max(|fd|, |analytic|) when that exceeds 1;
+    inf when it is not finite, so a NaN or infinite derivative fails."""
+    err = float(abs(fd - analytic))
+    scale = float(max(abs(fd), abs(analytic)))
+    if scale > 1.0:
+        err /= scale
+    return err if math.isfinite(err) else math.inf
+
+
 def fd_check(
     value_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -248,12 +264,12 @@ def fd_check(
 ) -> FdReport:
     """Central-difference check of grad_fn against value_fn.
 
-    Per-coordinate error |fd - analytic|, divided by max(|fd|, |analytic|)
-    when that magnitude exceeds 1.  Points closer than h to the box
-    boundary are skipped with a note (the stencil would leave the domain).
+    Per-coordinate error as in fd_error; the first coordinate with the
+    largest error, a non-finite one counting as inf, is reported.  Points
+    closer than h to the box boundary are skipped with a note (the stencil
+    would leave the domain).
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    check_fd_step(h)
     max_err = 0.0
     worst_coord = None
     worst_point = None
@@ -272,11 +288,7 @@ def fd_check(
             up = value_fn(shifted)
             shifted[j] = point[j] - h
             down = value_fn(shifted)
-            fd = (up - down) / (2.0 * h)
-            err = float(abs(fd - analytic[j]))
-            scale = float(max(abs(fd), abs(analytic[j])))
-            if scale > 1.0:
-                err /= scale
+            err = fd_error((up - down) / (2.0 * h), analytic[j])
             if err > max_err:
                 max_err = err
                 worst_coord = j

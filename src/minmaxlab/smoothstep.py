@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,14 @@ class NamedStep:
 
     def d2_bound(self) -> float:
         return d2_bound(self.spec)
+
+    def plateau(self) -> Tuple[float, float, float, float, float]:
+        """(c1, c2, value at and below c1, value at and above c2, slope on
+        both sides).  The curve is constant outside (c1, c2), so a caller
+        can answer there from these numbers; they are the curve's own
+        outputs, signed zeros included."""
+        c1, c2 = self.spec.c1, self.spec.c2
+        return c1, c2, self.value(c1), self.value(c2), self.d1(c1)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,13 @@ labeling query costs exactly one F query, the boundary conditions hold
 by construction, and for 2-Lipschitz (sup-norm) maps the first point of
 any solution cluster decodes to an approximate fixed point with residual
 at most eps.
+
+SpernerInstance.query checks in one walk that a point has d integral
+coordinates in [1..M] (a non-integral one raises, it is not truncated)
+before charging the ledger, and accepts only labels equal to -1 or +1.
+The induced labeling hands F an ndarray and compares on Python floats
+with the operations of the float64 formula above, so the labels are the
+same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +40,23 @@ from .ledger import QueryLedger
 GridPoint = Tuple[int, ...]
 
 
+def _grid_point(point: Sequence[int], M: int, d: int) -> GridPoint:
+    """point as a tuple of ints, checked in one walk to be d integral
+    coordinates (ints, numpy ints, bools or integral floats) in [1..M]."""
+    coords = []
+    try:
+        for t in point:
+            c = int(t)
+            if c != t or not 1 <= c <= M:
+                raise ValueError(f"coordinate {t!r} of {point} is not an integer in [1..{M}]")
+            coords.append(c)
+    except OverflowError:  # int() of an infinity
+        raise ValueError(f"point {point} outside [1..{M}]^{d}") from None
+    if len(coords) != d:
+        raise ValueError(f"point has {len(coords)} coordinates, expected {d}")
+    return tuple(coords)
+
+
 @dataclass
 class SpernerInstance:
     """Grid width M, dimension d, and a query-counted labeling."""
@@ -44,16 +68,22 @@ class SpernerInstance:
     name: str = "lambda"
 
     def query(self, point: Sequence[int]) -> Tuple[int, ...]:
-        point = tuple(int(t) for t in point)
-        if len(point) != self.d:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.d}")
-        if any(not (1 <= t <= self.M) for t in point):
-            raise ValueError(f"point {point} outside [1..{self.M}]^{self.d}")
+        """Labels of one grid point, charged as one query.  Coordinates must
+        be integral (ints, numpy ints, bools or integral floats) and lie in
+        [1..M]; the point is checked before the ledger is charged."""
+        coords = _grid_point(point, self.M, self.d)
         self.ledger.record(self.name)
-        labels = tuple(int(l) for l in self.labeling(point))
-        if len(labels) != self.d or any(l not in (-1, 1) for l in labels):
-            raise ValueError(f"labeling returned {labels}, expected d signs")
-        return labels
+        labels = []
+        for l in self.labeling(coords):
+            if l == 1:
+                labels.append(1)
+            elif l == -1:
+                labels.append(-1)
+            else:
+                raise ValueError(f"labeling returned {l!r}, expected a sign -1 or +1")
+        if len(labels) != self.d:
+            raise ValueError(f"labeling returned {len(labels)} signs, expected {self.d}")
+        return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -80,12 +110,9 @@ def verify_sperner_solution(
     worst point pair when the diameter bound fails.  Out-of-range points
     are rejected outright.
     """
-    points = [tuple(int(t) for t in p) for p in sol.points]
+    points = [_grid_point(p, inst.M, inst.d) for p in sol.points]
     if not points:
         raise ValueError("empty solution")
-    for p in points:
-        if len(p) != inst.d or any(not (1 <= t <= inst.M) for t in p):
-            raise ValueError(f"point {p} outside [1..{inst.M}]^{inst.d}")
 
     max_dist = 0
     worst: Optional[Tuple[GridPoint, GridPoint]] = None
@@ -124,22 +151,27 @@ def verify_sperner_solution(
 
 def grid_to_cube(point: Sequence[int], M: int) -> np.ndarray:
     """phi(t) = (t-1)/(M-1) applied coordinate-wise."""
-    return (np.asarray(point, dtype=float) - 1.0) / (M - 1.0)
+    return np.array([(t - 1.0) / (M - 1.0) for t in point], dtype=float)
 
 
 def make_brouwer_labeling(
     F: Callable[[np.ndarray], np.ndarray], d: int, eps: float
 ) -> Tuple[Callable[[GridPoint], Tuple[int, ...]], int]:
-    """Raw (uncounted) labeling induced by F at accuracy eps; returns (fn, M)."""
+    """Raw (uncounted) labeling induced by F at accuracy eps; returns (fn, M).
+
+    F gets phi(p) as an ndarray; the comparison runs on Python floats with
+    the operations, and their order, of (1 - eps/2) * F(z) + (eps/2) * 0.5 > z
+    on float64 arrays, so the labels are those of that formula."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     M = math.ceil(1.0 + 3.0 / eps)
+    scale, shift = float(1.0 - eps / 2.0), float((eps / 2.0) * 0.5)
 
     def labeling(point: GridPoint) -> Tuple[int, ...]:
         z = grid_to_cube(point, M)
-        fz = np.asarray(F(z), dtype=float)
-        fn = (1.0 - eps / 2.0) * fz + (eps / 2.0) * 0.5
-        return tuple(1 if fn[i] > z[i] else -1 for i in range(d))
+        fz = np.asarray(F(z), dtype=float).tolist()
+        zl = z.tolist()
+        return tuple([1 if scale * fz[i] + shift > zl[i] else -1 for i in range(d)])
 
     return labeling, M
 

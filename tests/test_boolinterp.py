@@ -59,6 +59,25 @@ class TestBoolOracle:
         with pytest.raises(ValueError):
             h.query((0,))
 
+    @pytest.mark.parametrize("bits", [(0.7, 1.9), (0, 0.5), (1.0000001, 0), (math.nan, 1), (1, math.inf), (0, -1)])
+    def test_rejects_non_bits_before_charging(self, bits):
+        ledger = QueryLedger()
+        h = xor_oracle(ledger)
+        with pytest.raises(ValueError):
+            h.query(bits)
+        assert ledger.count("h") == 0
+
+    def test_accepts_integral_bit_types(self):
+        seen = []
+        table = BoolOracle.from_truth_table([0, 1, 1, 0], name="h")
+        h = BoolOracle(arity=2, fn=lambda bits: seen.append(bits) or table.fn(bits), name="h")
+        assert h.query((np.int64(0), True)) == 1
+        assert h.query((1.0, np.float64(0.0))) == 1
+        assert h.query(np.array([1, 1])) == 0
+        assert seen == [(0, 1), (1, 0), (1, 1)]
+        assert all(type(b) is int for bits in seen for b in bits)
+        assert h.ledger.count("h") == 3
+
     def test_rejects_bad_output(self):
         bad = BoolOracle(arity=1, fn=lambda bits: 7)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minmaxlab import smoothstep
 from minmaxlab.brouwer import (
     build_brouwer,
     cycle_cut_solve,
@@ -46,6 +47,62 @@ class TestBuild:
         assert out[0] == G(z[1] + z[2])          # NOR(b, c -> a)
         assert out[1] == ELL(z[0] + 0.25)        # PURIFY first output
         assert out[2] == ELL(z[0] - 0.25)        # PURIFY second output
+
+
+def _knee_points():
+    """The knees of g and ell, one ulp either side, and a few plateau and
+    band points; NOR input sums reach 2."""
+    out = [0.0, 0.2, 0.5, 0.9, 1.0, 4.0 / 3.0, 2.0]
+    for knee in (1.0 / 3.0, 2.0 / 3.0, 5.0 / 12.0, 7.0 / 12.0):
+        out += [math.nextafter(knee, -math.inf), knee, math.nextafter(knee, math.inf)]
+    return out
+
+
+class TestGateTableKnees:
+    """GateTable answers the plateaus without evaluating the step; its
+    values and slopes must be G, ELL, G.d1 and ELL.d1 bit for bit,
+    signed zeros included."""
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("x", _knee_points())
+    def test_values_and_slopes_equal_the_steps(self, x):
+        # nor_loop rows: a = NOR(b, c), b and c = PURIFY(a); with zero
+        # offsets and z_c = 0 every gate sees exactly x
+        table = build_brouwer(nor_loop()).table
+        vals, offsets = [x, x, 0.0], [0.0, 0.0, 0.0]
+        assert self.bits(table.values(vals, offsets, None, range(3))) == self.bits([G(x), ELL(x), ELL(x)])
+        assert self.bits(table.slopes(vals, offsets, None, range(3))) == self.bits(
+            [G.d1(x), G.d1(x), ELL.d1(x), ELL.d1(x)]
+        )
+
+    @pytest.mark.parametrize("x", _knee_points())
+    def test_map_and_signal_offsets(self, x):
+        table = build_brouwer(nor_loop()).table
+        z = [x - 0.25, x / 2.0, x / 2.0]
+        for offsets, (first, second) in ((table.map_offsets, (0.25, -0.25)), (table.signal_offsets, (-0.25, 0.25))):
+            expected = [G(z[1] + z[2]), ELL(z[0] + first), ELL(z[0] + second)]
+            assert self.bits(table.values(z, offsets, None, range(3))) == self.bits(expected)
+            slope = G.d1(z[1] + z[2])
+            expected = [slope, slope, ELL.d1(z[0] + first), ELL.d1(z[0] + second)]
+            assert self.bits(table.slopes(z, offsets, None, range(3))) == self.bits(expected)
+
+    def test_plateaus_skip_the_step(self, monkeypatch):
+        calls = []
+        for name in ("step_eval", "step_d1"):
+            original = getattr(smoothstep, name)
+            monkeypatch.setattr(smoothstep, name, lambda spec, x, f=original: calls.append(x) or f(spec, x))
+        table = build_brouwer(nor_loop()).table
+        zeros = [0.0, 0.0, 0.0]
+        # (PURIFY input, NOR input), each at or beyond a knee of its step
+        for a, b in ((0.0, 0.0), (5.0 / 12.0, 1.0 / 3.0), (7.0 / 12.0, 2.0 / 3.0), (1.0, 2.0)):
+            table.values([a, b, 0.0], zeros, None, range(3))
+            table.slopes([a, b, 0.0], zeros, None, range(3))
+        assert calls == []
+        table.values([0.5, 0.5, 0.0], zeros, None, range(3))
+        assert calls == [0.5, 0.5, 0.5]
 
 
 class TestEvalF:

@@ -140,6 +140,28 @@ class TestGradCheck:
     def test_gda_gradient(self, gda_file):
         assert main(["grad-check", str(gda_file), "--points", "2"]) == 0
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-6"])
+    def test_bad_step_is_usage_error(self, circ_file, gda_file, h):
+        assert main(["grad-check", str(circ_file), f"--h={h}"]) == 2
+        assert main(["grad-check", str(gda_file), f"--h={h}"]) == 2
+
+    def test_nan_jacobian_fails_with_null_error(self, circ_file, monkeypatch, capsys):
+        from minmaxlab import brouwer
+
+        eval_JF = brouwer.eval_JF
+        monkeypatch.setattr(brouwer, "eval_JF", lambda bmap, z: eval_JF(bmap, z) * np.nan)
+        assert main(["grad-check", str(circ_file), "--points", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["max_rel_err"] is None and out["ok"] is False
+
+    def test_nan_gradient_fails_with_null_error(self, gda_file, monkeypatch, capsys):
+        from minmaxlab import gda
+
+        monkeypatch.setattr(gda, "eval_grad_f", lambda inst, x, y: (np.full(inst.dim, np.nan), np.zeros(inst.dim)))
+        assert main(["grad-check", str(gda_file), "--points", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["max_rel_err"] is None and out["ok"] is False
+
 
 class TestSolve:
     def test_pgda_writes_reports(self, gda_file, tmp_path, capsys):

@@ -198,6 +198,32 @@ class TestFdCheck:
         assert rep.checked == 1
         assert rep.skipped == [(0, "within h of the boundary")]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_fails(self, bad):
+        rep = fd_check(
+            lambda v: float(v[0] + v[1] + v[2]),
+            lambda v: np.array([1.0, bad, 1.0]),
+            [np.array([0.5, 0.5, 0.5])],
+            h=1e-6,
+        )
+        assert rep.max_rel_err == math.inf
+        assert rep.worst_coordinate == 1 and rep.worst_point_index == 0
+
+    def test_non_finite_value_fails(self):
+        rep = fd_check(
+            lambda v: float(v[0]) if v[0] < 0.5 else math.nan,
+            lambda v: np.array([1.0]),
+            [np.array([0.2]), np.array([0.5])],
+            h=1e-6,
+        )
+        assert rep.max_rel_err == math.inf
+        assert rep.worst_point_index == 1
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-6])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError):
+            fd_check(lambda v: float(v[0]), lambda v: np.array([1.0]), [np.array([0.5])], h=h)
+
     def test_gda_instance_gradient(self):
         inst = scaled(nor_loop(), n=2)
         obj = GdaObjective(inst)

@@ -1,21 +1,32 @@
 """Whole-chain integration: grid labeling -> circuit oracle -> smooth map
 -> min-max objective, with query accounting through every layer."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
 from minmaxlab.circuit import (
     CircuitInstance,
+    build_constant_gadget,
     build_oracle_from_labeling,
     oracle_gate,
     purify,
     validate_instance,
 )
 from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_grad_f
+from minmaxlab.harness import GdaObjective, run_pgda
 from minmaxlab.ledger import QueryLedger
-from minmaxlab.sperner import get_test_map, make_brouwer_labeling
+from minmaxlab.sperner import (
+    brouwer_to_labeling,
+    find_sperner_solution_exhaustive,
+    get_test_map,
+    make_brouwer_labeling,
+    verify_sperner_solution,
+)
 
+from circuits import oracle_purify
 from oracles import central_diff, rel_err
 
 
@@ -117,3 +128,33 @@ class TestChain:
         rng = np.random.default_rng(7)
         x = rng.random(inst.dim)
         assert eval_f(inst, x, x) == 0.0
+
+
+class TestPinnedQueryCounts:
+    """Whole ledgers of small runs, pinned to the counts measured before
+    the plateau-first gate kernel and the one-walk validators; any change
+    in what is queried, or how often, shows here."""
+
+    def test_exhaustive_sperner_on_oracle_purify(self):
+        bmap = build_brouwer(oracle_purify())
+        inst = brouwer_to_labeling(partial(eval_F, bmap), bmap.dim, 0.3, ledger=bmap.ledger)
+        sol = find_sperner_solution_exhaustive(inst)
+        assert inst.M == 11
+        assert sol is not None and sol.points == ((1, 1, 1), (1, 1, 1), (2, 2, 2))
+        assert verify_sperner_solution(inst, sol)[0]
+        assert bmap.ledger.snapshot() == {"lambda": 1333, "F": 1333, "F_evals": 1333, "L": 706}
+
+    @pytest.mark.parametrize(
+        "circuit, expected",
+        [
+            (lambda: build_constant_gadget().instance, {"grad_f_evals": 50, "F_evals": 800, "JF_evals": 800}),
+            (oracle_purify, {"grad_f_evals": 50, "L": 50}),
+        ],
+    )
+    def test_pgda_50_steps_at_n4(self, circuit, expected):
+        circ = circuit()
+        params = derive_parameters(len(circ.nodes), mode="scaled", delta=0.05, n=4, eps=1e-4)
+        inst = build_gda_instance(circ, params)
+        run = run_pgda(GdaObjective(inst), 50, seed=0)
+        assert run.iterations == 50
+        assert inst.ledger.snapshot() == expected

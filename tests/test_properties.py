@@ -4,6 +4,9 @@ per-component and per-block references, bit for bit.
 The references dispatch on each gate of the circuit directly, so they
 share no code with the gate table.  The gradient reference calls
 eval_F / eval_JF block by block, so its ledger charges are compared too.
+The interpolation's box profile and gradient, and the Sperner labeling,
+are checked against the straightforward formulas the same way; so are
+the JSON round trip of circuits and the sign of the endpoint gap.
 """
 
 import math
@@ -12,18 +15,32 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minmaxlab.boolinterp import interp_eval, interp_grad
+from minmaxlab.boolinterp import BoolOracle, active_vertex, box_profile, interp_eval, interp_grad
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
-from minmaxlab.circuit import NOR, ORACLE, PURIFY, build_constant_gadget
+from minmaxlab.circuit import (
+    NOR,
+    ORACLE,
+    PURIFY,
+    CircuitInstance,
+    build_constant_gadget,
+    circuit_from_json,
+    circuit_to_json,
+    nor,
+    oracle_gate,
+    purify,
+)
 from minmaxlab.gda import (
     _gadgets_from_blocks,
     block_energies,
     build_gda_instance,
     derive_parameters,
+    endpoint_gap,
     eval_f,
     eval_grad_f,
+    stationarity_gap,
 )
-from minmaxlab.smoothstep import ELL, G
+from minmaxlab.smoothstep import ALPHA, ELL, G
+from minmaxlab.sperner import make_brouwer_labeling
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 
@@ -247,3 +264,180 @@ def test_eval_f_matches_per_block_gadgets(name, n, regime, seed):
     diff = bx - by
     reg = float(np.sum(np.einsum("vij,vij->vi", diff, diff) * inst.weights[None, :]))
     assert eval_f(inst, x, y) == float(np.dot(sig, ref_H)) + reg
+
+
+# ---------------------------------------------------------------------------
+# interpolation: plateau shortcuts against the plain product formulas
+# ---------------------------------------------------------------------------
+
+def reference_box_profile(x, vertex):
+    prod_ = 1.0
+    for xi, yi in zip(x, vertex):
+        prod_ *= ALPHA(yi + (1 - 2 * yi) * xi)
+    return prod_
+
+
+def reference_interp_grad(x, oracle):
+    """Prefix/suffix products over every coordinate, no plateau shortcut."""
+    n = oracle.arity
+    grad = np.zeros(n)
+    vertex = active_vertex(x)
+    if vertex is None:
+        return grad
+    args = [yi + (1 - 2 * yi) * xi for xi, yi in zip(x, vertex)]
+    factors = [ALPHA(a) for a in args]
+    prefix, suffix = np.ones(n + 1), np.ones(n + 1)
+    for i in range(n):
+        prefix[i + 1] = prefix[i] * factors[i]
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * factors[i]
+    for j in range(n):
+        grad[j] = (1.0 - 2.0 * vertex[j]) * ALPHA.d1(args[j]) * prefix[j] * suffix[j + 1]
+    if np.any(grad != 0.0):
+        grad *= oracle.fn(vertex) - 0.5
+    return grad
+
+
+# the knees of alpha seen from either vertex, one ulp either side
+ALPHA_KNEES = sorted(
+    {v for k in (1.0 / 6.0, 1.0 / 3.0) for c in (k, 1.0 - k)
+     for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))}
+)
+near_knee = st.one_of(unit, st.sampled_from(ALPHA_KNEES))
+
+
+@PROPERTY
+@given(arity=st.integers(1, 5), data=st.data())
+def test_interp_matches_plain_product(arity, data):
+    table = data.draw(st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity))
+    oracle = BoolOracle.from_truth_table(table)
+    x = data.draw(st.lists(near_knee, min_size=arity, max_size=arity))
+    vertex = active_vertex(x)
+    if vertex is not None:
+        assert same_bits(np.array(box_profile(x, vertex)), np.array(reference_box_profile(x, vertex)))
+        prof = reference_box_profile(x, vertex)
+        expected = 0.5 if prof == 0.0 else 0.5 + prof * (oracle.fn(vertex) - 0.5)
+        assert same_bits(np.array(interp_eval(x, oracle)), np.array(expected))
+    assert same_bits(interp_grad(x, oracle), reference_interp_grad(x, oracle))
+
+
+# ---------------------------------------------------------------------------
+# Sperner labeling: Python-float comparison against the numpy formula
+# ---------------------------------------------------------------------------
+
+coefficient = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.25]), st.floats(-2.0, 2.0))
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 3),
+    eps=st.one_of(st.sampled_from([0.5, 0.3, 0.2, 0.07]), st.floats(0.01, 0.99)),
+    identity=st.booleans(),
+    data=st.data(),
+)
+def test_labeling_matches_numpy_formula(d, eps, identity, data):
+    if identity:  # F(z) = z ties with z wherever the normalization fixes z
+        A, c = np.eye(d), np.zeros(d)
+    else:
+        A = np.array(data.draw(st.lists(coefficient, min_size=d * d, max_size=d * d))).reshape(d, d)
+        c = np.array(data.draw(st.lists(coefficient, min_size=d, max_size=d)))
+
+    def F(z):
+        assert isinstance(z, np.ndarray)
+        return c + A @ z
+
+    labeling, M = make_brouwer_labeling(F, d, eps)
+    point = tuple(data.draw(st.lists(st.integers(1, M), min_size=d, max_size=d)))
+    z = (np.asarray(point, dtype=float) - 1.0) / (M - 1.0)
+    fn = (1 - eps / 2) * F(z) + (eps / 2) * 0.5
+    assert labeling(point) == tuple(1 if fn[i] > z[i] else -1 for i in range(d))
+
+
+def test_labeling_tie_gets_minus_one():
+    labeling, M = make_brouwer_labeling(lambda z: z, 1, 0.5)
+    z = (np.asarray((4,), dtype=float) - 1.0) / (M - 1.0)
+    assert M == 7 and z[0] == 0.5
+    assert (1 - 0.5 / 2) * z[0] + (0.5 / 2) * 0.5 == z[0]  # an exact tie
+    assert labeling((4,)) == (-1,)
+    assert labeling((3,)) == (1,) and labeling((5,)) == (-1,)
+
+
+# ---------------------------------------------------------------------------
+# circuit JSON round trip
+# ---------------------------------------------------------------------------
+
+@st.composite
+def circuits(draw):
+    """Gate lists over a few nodes; JSON needs no structural validity."""
+    nodes = tuple(draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True)))
+    node = st.sampled_from(nodes)
+    gate = st.one_of(
+        st.builds(nor, node, node, node),
+        st.builds(purify, node, node, node),
+        st.builds(oracle_gate, st.lists(node, min_size=1, max_size=3).map(tuple), node),
+    )
+    gates = draw(st.lists(gate, max_size=6))
+    table = draw(st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=2, max_size=2)))
+    spec = None if table is None else {"kind": "truth_table", "data": table}
+    oracle = None if table is None else BoolOracle.from_truth_table(table)
+    return CircuitInstance(nodes, tuple(gates), oracle=oracle, oracle_spec=spec)
+
+
+@PROPERTY
+@given(inst=circuits(), order=st.randoms(use_true_random=False))
+def test_circuit_json_round_trip_is_byte_stable(inst, order):
+    text = circuit_to_json(inst)
+    assert circuit_to_json(circuit_from_json(text)) == text
+    shuffled = list(inst.gates)
+    order.shuffle(shuffled)
+    same = CircuitInstance(inst.nodes, tuple(shuffled), oracle_spec=inst.oracle_spec)
+    assert circuit_to_json(same) == text
+
+
+# ---------------------------------------------------------------------------
+# endpoint gap
+# ---------------------------------------------------------------------------
+
+finite = st.floats(-1e6, 1e6)
+
+
+@PROPERTY
+@given(k=st.integers(1, 6), data=st.data())
+def test_endpoint_gap_is_nonnegative(k, data):
+    x, y = (np.array(data.draw(st.lists(unit, min_size=k, max_size=k))) for _ in range(2))
+    gx, gy = (np.array(data.draw(st.lists(finite, min_size=k, max_size=k))) for _ in range(2))
+    assert endpoint_gap(x, y, gx, gy) >= 0.0
+
+
+@PROPERTY
+@given(k=st.integers(1, 6), data=st.data())
+def test_endpoint_gap_is_zero_at_a_stationary_point(k, data):
+    """Each coordinate is interior with zero gradient, or at the face its
+    player cannot improve from: x at 0 with gx > 0 or at 1 with gx < 0
+    (minimizing), y at 1 with gy > 0 or at 0 with gy < 0 (maximizing)."""
+    positive = st.floats(1e-9, 1e6)
+    x, y, gx, gy = [], [], [], []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(["interior", "low", "high"]))
+        if kind == "interior":
+            x.append(data.draw(unit))
+            gx.append(0.0)
+        else:
+            x.append(0.0 if kind == "low" else 1.0)
+            gx.append(data.draw(positive) * (1.0 if kind == "low" else -1.0))
+        kind = data.draw(st.sampled_from(["interior", "low", "high"]))
+        if kind == "interior":
+            y.append(data.draw(unit))
+            gy.append(0.0)
+        else:
+            y.append(0.0 if kind == "low" else 1.0)
+            gy.append(data.draw(positive) * (-1.0 if kind == "low" else 1.0))
+    assert endpoint_gap(np.array(x), np.array(y), np.array(gx), np.array(gy)) == 0.0
+
+
+@PROPERTY
+@given(name=st.sampled_from(["nor_loop", "oracle_purify"]), seed=st.integers(0, 2**32 - 1))
+def test_stationarity_gap_is_nonnegative(name, seed):
+    inst = instance(name, 2)
+    x, y = pair(inst, "random", np.random.default_rng(seed))
+    assert stationarity_gap(inst, x, y) >= 0.0

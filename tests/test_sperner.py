@@ -78,6 +78,45 @@ class TestVerify:
         assert inst.ledger.count("lambda") - before == 2
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "point",
+        [(2.5, 3.9), (2, 3.0000001), (math.nan, 2), (math.inf, 2), (0, 2), (2, 6), (2,), (1, 2, 3)],
+    )
+    def test_bad_point_rejected_before_charging(self, point):
+        inst = SpernerInstance(M=5, d=2, labeling=lambda p: (1, -1))
+        with pytest.raises(ValueError):
+            inst.query(point)
+        assert inst.ledger.count("lambda") == 0
+
+    def test_integral_point_types_accepted(self):
+        seen = []
+        inst = SpernerInstance(M=5, d=2, labeling=lambda p: seen.append(p) or (1, -1))
+        for point in [(2, 3), (np.int64(2), np.int32(3)), (2.0, 3.0), (True, 5), np.array([2, 3])]:
+            assert inst.query(point) == (1, -1)
+        assert seen == [(2, 3), (2, 3), (2, 3), (1, 5), (2, 3)]
+        assert all(type(t) is int for p in seen for t in p)
+        assert inst.ledger.count("lambda") == 5
+
+    @pytest.mark.parametrize("labels", [(1.7, -1.2), (1, 0), (1, math.nan), (1,), (1, -1, 1)])
+    def test_bad_labels_rejected(self, labels):
+        inst = SpernerInstance(M=5, d=2, labeling=lambda p: labels)
+        with pytest.raises(ValueError):
+            inst.query((2, 3))
+
+    def test_integral_labels_become_ints(self):
+        inst = SpernerInstance(M=5, d=2, labeling=lambda p: (1.0, np.int64(-1)))
+        labels = inst.query((2, 3))
+        assert labels == (1, -1)
+        assert all(type(l) is int for l in labels)
+
+    def test_verify_rejects_non_integral_point(self):
+        inst = tiny_1d_instance()
+        with pytest.raises(ValueError):
+            verify_sperner_solution(inst, SpernerSolution(((1.5,), (2,))))
+        assert inst.ledger.count("lambda") == 0
+
+
 class TestReduction:
     def test_grid_width_formula(self):
         _, M = make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.1)
