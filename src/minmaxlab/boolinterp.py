@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,17 +122,10 @@ def active_vertex(x: Sequence[float]) -> Optional[Bits]:
     """The unique vertex within sup-norm distance 1/3 of x, if any.
 
     Rounds x_i <= 1/3 to 0 and x_i >= 2/3 to 1; returns None when some
-    coordinate falls strictly inside (1/3, 2/3).  Makes no oracle queries.
+    coordinate falls strictly inside (1/3, 2/3).  Raises ValueError on a
+    coordinate outside [0,1] or NaN.  Makes no oracle queries.
     """
-    vertex = []
-    for xi in x:
-        if xi <= 1.0 / 3.0:
-            vertex.append(0)
-        elif xi >= 2.0 / 3.0:
-            vertex.append(1)
-        else:
-            return None
-    return tuple(vertex)
+    return _checked_vertex(x, len(x))
 
 
 _A1, _A2, _A_LO, _A_HI, _A_FLAT = ALPHA.plateau()
@@ -167,17 +160,9 @@ def interp_eval(x: Sequence[float], oracle: BoolOracle) -> float:
     return 0.5 + prof * (q - 0.5)
 
 
-def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
-    """Gradient of h at x; zero vector when no vertex is active.
-
-    Entry j is (q(y*) - 1/2) * sign_j * alpha'(arg_j) * prod_{i != j} alpha(arg_i)
-    with sign_j = 1 - 2 y*_j.  At most one oracle query, none when the whole
-    profile gradient vanishes (e.g. strictly inside the 1/6-box).
-    """
-    n = oracle.arity
-    vertex = _checked_vertex(x, n)
-    if vertex is None:
-        return np.zeros(n)
+def _factors(x: Sequence[float], vertex: Bits) -> Tuple[List[float], List[float]]:
+    """alpha and alpha' at each profile argument y_i + (1 - 2 y_i) x_i;
+    arguments on a plateau take alpha's plateau values without a call."""
     factors, d1s = [], []
     for xi, yi in zip(x, vertex):
         t = yi + (1 - 2 * yi) * xi
@@ -190,6 +175,21 @@ def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
         else:
             factors.append(ALPHA(t))
             d1s.append(ALPHA.d1(t))
+    return factors, d1s
+
+
+def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
+    """Gradient of h at x; zero vector when no vertex is active.
+
+    Entry j is (q(y*) - 1/2) * sign_j * alpha'(arg_j) * prod_{i != j} alpha(arg_i)
+    with sign_j = 1 - 2 y*_j.  At most one oracle query, none when the whole
+    profile gradient vanishes (e.g. strictly inside the 1/6-box).
+    """
+    n = oracle.arity
+    vertex = _checked_vertex(x, n)
+    if vertex is None:
+        return np.zeros(n)
+    factors, d1s = _factors(x, vertex)
     prefix = [1.0]
     for f in factors:
         prefix.append(prefix[-1] * f)
@@ -214,26 +214,13 @@ def interp_hess_entry(x: Sequence[float], oracle: BoolOracle, j: int, k: int) ->
         raise ValueError(f"indices out of range for arity {n}: ({j}, {k})")
     if vertex is None:
         return 0.0
-    args = [yi + (1 - 2 * yi) * xi for xi, yi in zip(x, vertex)]
+    factors, d1s = _factors(x, vertex)
+    dphi = 1.0 if j == k else (1.0 - 2.0 * vertex[j]) * d1s[j] * (1.0 - 2.0 * vertex[k]) * d1s[k]
+    for i, f in enumerate(factors):
+        if i != j and i != k:
+            dphi *= f
     if j == k:
-        second = ALPHA.d2(args[j])
-        rest = 1.0
-        for i in range(n):
-            if i != j:
-                rest *= ALPHA(args[i])
-                if rest == 0.0:
-                    break
-        dphi = second * rest
-    else:
-        sj = 1.0 - 2.0 * vertex[j]
-        sk = 1.0 - 2.0 * vertex[k]
-        dphi = sj * ALPHA.d1(args[j]) * sk * ALPHA.d1(args[k])
-        if dphi != 0.0:
-            for i in range(n):
-                if i != j and i != k:
-                    dphi *= ALPHA(args[i])
-                    if dphi == 0.0:
-                        break
+        dphi *= ALPHA.d2(vertex[j] + (1 - 2 * vertex[j]) * x[j])
     if dphi == 0.0:
         return 0.0
     q = oracle.query(vertex)

@@ -71,8 +71,10 @@ class GateTable:
     """Per coordinate w: the kind of the gate that outputs it, the input
     coordinates it reads, and the PURIFY offset added to its input on the
     map side (outputs +1/4, -1/4) and on the signal side (-1/4, +1/4).
-    ``gate_order`` lists coordinates gate by gate; ``jac_index`` holds the
-    flat positions w * d + u of the Jacobian's nonzeros, row by row."""
+    ``gate_order`` lists coordinates gate by gate and ``fan_in`` the edges
+    (u, w) from each input u to each output w in that order; ``jac_index``
+    holds the flat positions w * d + u of the Jacobian's nonzeros, row by
+    row."""
 
     index: Dict[str, int]
     kinds: Tuple[str, ...]
@@ -80,6 +82,7 @@ class GateTable:
     map_offsets: Tuple[float, ...]
     signal_offsets: Tuple[float, ...]
     gate_order: Tuple[int, ...]
+    fan_in: Tuple[Tuple[int, int], ...]
     jac_index: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
@@ -89,6 +92,7 @@ class GateTable:
         kinds, inputs = [NOR] * d, [()] * d
         map_offsets, signal_offsets = [0.0] * d, [0.0] * d
         gate_order: List[int] = []
+        fan_in: List[Tuple[int, int]] = []
         for gate in inst.gates:
             ins = tuple(index[u] for u in gate.inputs)
             for pos, out in enumerate(gate.outputs):
@@ -98,9 +102,10 @@ class GateTable:
                     map_offsets[w] = (+0.25, -0.25)[pos]
                     signal_offsets[w] = (-0.25, +0.25)[pos]
                 gate_order.append(w)
+                fan_in += ((u, w) for u in ins)
         jac_index = np.array([w * d + u for w in range(d) for u in inputs[w]], dtype=np.intp)
         return cls(index, tuple(kinds), tuple(inputs), tuple(map_offsets),
-                   tuple(signal_offsets), tuple(gate_order), jac_index)
+                   tuple(signal_offsets), tuple(gate_order), tuple(fan_in), jac_index)
 
     def values(self, vals: Sequence[float], offsets: Sequence[float], oracle, rows: Iterable[int]) -> List[float]:
         """Smooth response of each row's gate to the coordinate values `vals`.
@@ -298,7 +303,7 @@ def grid_restart_point(bmap: BrouwerMap, resolution: int = 11) -> np.ndarray:
     best_res = np.inf
     for combo in product(axis, repeat=bmap.dim):
         z = np.array(combo)
-        res = float(np.max(np.abs(eval_F(bmap, z) - z)))
+        res = residual(bmap, z)
         if res < best_res:
             best_res = res
             best_z = z

@@ -81,12 +81,6 @@ class CircuitInstance:
             # all query accounting flows through one shared ledger
             self.oracle.ledger = self.ledger
 
-    def output_gate(self, node: str) -> Gate:
-        for gate in self.gates:
-            if node in gate.outputs:
-                return gate
-        raise KeyError(f"node {node!r} is not the output of any gate")
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -324,22 +318,25 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
+def _node_names(value, key: str) -> Tuple[str, ...]:
+    """A gate's "in" or "out": one node name or a list of them."""
+    names = [value] if isinstance(value, str) else value
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"gate {key!r} must be a node name or a list of node names, got {value!r}")
+    return tuple(names)
+
+
 def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> CircuitInstance:
+    """Instance from circuit JSON.  Gates are taken as written; their shape
+    (inputs and outputs per kind) is left to validate_instance."""
     payload = json.loads(text)
     ledger = ledger or QueryLedger()
     gates = []
     for item in payload["gates"]:
         kind = item["type"]
-        ins = item["in"]
-        out = item["out"]
-        if kind == NOR:
-            gates.append(nor(ins[0], ins[1], out))
-        elif kind == PURIFY:
-            gates.append(purify(ins[0], out[0], out[1]))
-        elif kind == ORACLE:
-            gates.append(oracle_gate(ins, out))
-        else:
+        if kind not in _GATE_ORDER:
             raise ValueError(f"unknown gate type {kind!r}")
+        gates.append(Gate(kind, _node_names(item["in"], "in"), _node_names(item["out"], "out")))
     oracle = _oracle_from_spec(payload.get("oracle"), ledger)
     return CircuitInstance(
         nodes=tuple(payload["nodes"]),

@@ -10,25 +10,17 @@ class NumericConfig:
     """Tolerances and defaults shared across modules.
 
     All arithmetic is binary64; these constants pin the finite-difference
-    steps and relative tolerances used by the derivative cross-checks,
-    plus the default fixed-point / stationarity targets.
+    step and relative tolerance of the gradient audit, plus the default
+    fixed-point / stationarity targets.
     """
 
-    # central finite differences for first derivatives
-    fd_step: float = 1e-6
-    fd_rel_tol: float = 1e-5
-    # second-order central differences
-    fd2_step: float = 1e-4
-    fd2_rel_tol: float = 1e-4
-    # objective-level gradient checks (wider steps, looser tolerance)
+    # grad-check / fd_check central differences
     grad_fd_step: float = 1e-5
     grad_fd_rel_tol: float = 1e-4
     # fixed-point residual target for the smooth map construction
     brouwer_eps: float = 1.0 / 12.0
     # default inner approximation error for min-max instances
     default_rho: float = 1.0 / 12.0
-    # underflow guard for exp(-1/x): below this, exp underflows to 0.0
-    eta_underflow: float = 1.0 / 745.0
     # budget gates
     dense_sum_max_arity: int = 10
     truth_table_max_arity: int = 20

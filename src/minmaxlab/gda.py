@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .brouwer import BrouwerMap, build_brouwer, eval_F, eval_JF
+from .brouwer import BrouwerMap, build_brouwer, eval_F, eval_JF, residual
 from .circuit import (
     BOT,
     Assignment,
@@ -114,7 +114,8 @@ def derive_parameters(
     Paper mode evaluates the closed-form schedule in binary64 and flags
     overflow (n > 2^63 - 1) instead of failing; the record still carries
     delta, eps, and log2(n) so the magnitudes remain inspectable.  Scaled
-    mode takes user-supplied positive delta and eps and a positive even n.
+    mode takes user-supplied finite positive delta and eps and a positive
+    even n.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -139,9 +140,13 @@ def derive_parameters(
     if mode == "scaled":
         if delta is None or n is None or eps is None:
             raise ValueError("scaled mode needs delta, n, and eps")
-        if delta <= 0 or eps <= 0:
-            raise ValueError("delta and eps must be positive")
-        if int(n) != n or n < 2 or n % 2 != 0:
+        if not (0 < delta < math.inf and 0 < eps < math.inf):  # NaN fails
+            raise ValueError(f"delta and eps must be finite and positive, got {delta!r}, {eps!r}")
+        try:
+            even = int(n) == n and n >= 2 and n % 2 == 0
+        except (OverflowError, ValueError):  # int() of an infinite or NaN n
+            even = False
+        if not even:
             raise ValueError(f"n must be a positive even integer, got {n!r}")
         return GdaParams(
             m=m,
@@ -266,12 +271,6 @@ def _gadgets_from_blocks(
     return H, disp
 
 
-def gadget_values(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x, y = _check_pair(inst, x, y)
-    H, _ = _gadgets_from_blocks(inst, inst.blocks(x), inst.blocks(y))
-    return H
-
-
 def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     diff = inst.blocks(x) - inst.blocks(y)
     per_replica = np.einsum("vij,vij->vi", diff, diff)
@@ -290,19 +289,6 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     sig = _signals_from_energies(inst, energies)
     H, _ = _gadgets_from_blocks(inst, inst.blocks(x), inst.blocks(y))
     return float(np.dot(sig, H)) + regularizer(inst, x, y)
-
-
-def _signal_sensitivities(
-    inst: GdaInstance, energies: np.ndarray
-) -> List[List[Tuple[int, float]]]:
-    """For each node q, the list of (w, ds_w/dE_q) over w in Out(q), in gate order."""
-    table = inst.bmap.table
-    slopes = table.slopes(energies.tolist(), table.signal_offsets, inst.circuit.oracle, table.gate_order)
-    edges = [(u, w) for w in table.gate_order for u in table.inputs[w]]
-    sens: List[List[Tuple[int, float]]] = [[] for _ in range(inst.m)]
-    for (u, w), slope in zip(edges, slopes):
-        sens[u].append((w, slope))
-    return sens
 
 
 def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,10 +313,15 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     disp = None
     if np.any(ephi1 != 0.0):
         H, disp = _gadgets_from_blocks(inst, bx, by)
-        sens = _signal_sensitivities(inst, energies)
+        table = inst.bmap.table
+        slopes = table.slopes(energies.tolist(), table.signal_offsets, inst.circuit.oracle, table.gate_order)
+        # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order
+        sens = [0] * inst.m
+        for (u, w), slope in zip(table.fan_in, slopes):
+            sens[u] += H[w] * slope
         for q in range(inst.m):
             if ephi1[q] != 0.0:
-                delta_q[q] = ephi1[q] * sum(H[w] * slope for w, slope in sens[q])
+                delta_q[q] = ephi1[q] * sens[q]
 
     coupling = 2.0 * (inst.weights[None, :, None] + delta_q[:, None, None]) * (bx - by)
     gx, gy = coupling.copy(), -coupling
@@ -432,7 +423,7 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
     for v, node in enumerate(inst.node_order):
         for i in range(inst.n):
             xi = 0.5 * (bx[v, i] + by[v, i])
-            res = float(np.max(np.abs(eval_F(inst.bmap, xi) - xi)))
+            res = residual(inst.bmap, xi)
             if res <= inst.params.rho:
                 return DichotomyResult(
                     gap=gap,

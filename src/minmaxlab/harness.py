@@ -264,10 +264,12 @@ def fd_check(
 ) -> FdReport:
     """Central-difference check of grad_fn against value_fn.
 
-    Per-coordinate error as in fd_error; the first coordinate with the
-    largest error, a non-finite one counting as inf, is reported.  Points
-    closer than h to the box boundary are skipped with a note (the stencil
-    would leave the domain).
+    value_fn may return a scalar or a vector; grad_fn returns the gradient,
+    or the Jacobian whose column j (``analytic[..., j]``) holds the partials
+    along coordinate j.  Per-entry error as in fd_error; the first
+    coordinate with the largest error, a non-finite one counting as inf, is
+    reported.  Points closer than h to the box boundary are skipped with a
+    note (the stencil would leave the domain).
     """
     check_fd_step(h)
     max_err = 0.0
@@ -288,11 +290,13 @@ def fd_check(
             up = value_fn(shifted)
             shifted[j] = point[j] - h
             down = value_fn(shifted)
-            err = fd_error((up - down) / (2.0 * h), analytic[j])
-            if err > max_err:
-                max_err = err
-                worst_coord = j
-                worst_point = p_idx
+            fd = np.ravel((up - down) / (2.0 * h))
+            for fd_i, analytic_i in zip(fd, np.ravel(analytic[..., j])):
+                err = fd_error(fd_i, analytic_i)
+                if err > max_err:
+                    max_err = err
+                    worst_coord = j
+                    worst_point = p_idx
     return FdReport(
         max_rel_err=max_err,
         worst_coordinate=worst_coord,

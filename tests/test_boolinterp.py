@@ -13,6 +13,7 @@ from minmaxlab.boolinterp import (
     interp_grad,
     interp_hess_entry,
 )
+from minmaxlab import smoothstep
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.smoothstep import ALPHA
 
@@ -105,6 +106,11 @@ class TestActiveVertex:
     def test_profile_vanishes_at_boundary(self):
         x = [1.0 / 3.0, 1.0 / 3.0]
         assert box_profile(x, (0, 0)) == 0.0
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.5, math.nan], [-0.1, 0.9], [0.2, 1.5], [math.inf, 0.0]])
+    def test_rejects_nan_and_out_of_range(self, x):
+        with pytest.raises(ValueError, match="coordinates must lie in"):
+            active_vertex(x)
 
 
 class TestInterpEval:
@@ -249,6 +255,20 @@ class TestInterpHess:
             * (1 - 2 * vertex[1]) * ALPHA.d1(1.0 - x[1])
         )
         assert interp_hess_entry(x, h, 0, 1) == pytest.approx(expected, rel=1e-12)
+
+    def test_off_diagonal_plateaus_skip_the_step(self, monkeypatch):
+        calls = []
+        for name in ("step_eval", "step_d1"):
+            original = getattr(smoothstep, name)
+            monkeypatch.setattr(smoothstep, name, lambda spec, x, f=original: calls.append(x) or f(spec, x))
+        h = xor_oracle()
+        # every profile argument at or beyond a knee of alpha (1/6, 1/3)
+        for x in ([0.0, 1.0], [1.0 / 6.0, 5.0 / 6.0], [1.0 / 3.0, 2.0 / 3.0], [0.1, 0.95], [0.05, 0.9]):
+            assert interp_hess_entry(x, h, 0, 1) == 0.0
+            assert interp_hess_entry(x, h, 1, 0) == 0.0
+        assert calls == []
+        interp_hess_entry([0.25, 0.25], h, 0, 1)
+        assert calls == [0.25, 0.25, 0.25, 0.25]
 
     def test_matches_fd_of_gradient(self):
         rng = np.random.default_rng(61)

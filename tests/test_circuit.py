@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -382,6 +383,31 @@ class TestJsonFormat:
         # malformed selector: all zero tail bits
         assert inst.oracle.query((0,) * 34) == 0
         assert inst.ledger.count("lambda") == 0
+
+    @staticmethod
+    def parse(*gates):
+        return circuit_from_json(json.dumps({"nodes": ["a", "b", "c", "d"], "gates": list(gates), "oracle": None}))
+
+    def test_three_input_nor_is_reported_not_truncated(self):
+        inst = self.parse({"type": "NOR", "in": ["a", "b", "c"], "out": "d"})
+        assert inst.gates[0].inputs == ("a", "b", "c")
+        assert "NOR(a,b,c -> d): NOR takes 2 inputs, 1 output" in validate_instance(inst)
+
+    def test_string_purify_out_is_reported_not_split(self):
+        inst = self.parse({"type": "PURIFY", "in": ["a"], "out": "bc"})
+        assert inst.gates[0].outputs == ("bc",)
+        assert "PURIFY(a -> bc): PURIFY takes 1 input, 2 outputs" in validate_instance(inst)
+
+    def test_list_oracle_out_is_reported(self):
+        inst = self.parse({"type": "ORACLE", "in": ["a"], "out": ["b", "c"]})
+        assert "ORACLE(a -> b,c): ORACLE takes N>=1 inputs, 1 output" in validate_instance(inst)
+
+    @pytest.mark.parametrize("key, value", [("in", 3), ("in", [["a"]]), ("in", {"a": 1}), ("out", None), ("out", ["b", 1])])
+    def test_members_must_be_node_names(self, key, value):
+        gate = {"type": "PURIFY", "in": ["a"], "out": ["b", "c"]}
+        gate[key] = value
+        with pytest.raises(ValueError, match="node name"):
+            self.parse(gate)
 
     def test_sperner_oracle_M_mismatch_rejected(self):
         import json

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
 from minmaxlab.cli import main
-from minmaxlab.circuit import circuit_to_json
+from minmaxlab.circuit import build_constant_gadget, circuit_from_json, circuit_to_json
+from minmaxlab.config import DEFAULTS
 
-from circuits import nor_loop, purify_loop
+from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+
+CIRCUITS = {
+    "nor_loop": nor_loop,
+    "purify_loop": purify_loop,
+    "oracle_pair": oracle_pair,
+    "oracle_purify": oracle_purify,
+    "oracle_attracting": oracle_attracting,
+    "gadget": lambda: build_constant_gadget().instance,
+}
 
 
 @pytest.fixture
@@ -70,6 +82,16 @@ class TestBuildGda:
         path.write_text(json.dumps({"mode": "scaled", "delta": 0.1}))
         assert main(["build-gda", str(path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("n", math.inf), ("n", math.nan), ("delta", math.nan), ("eps", math.inf)])
+    def test_non_finite_parameter_exits_two(self, gda_file, capsys, key, value):
+        desc = json.loads(gda_file.read_text())
+        desc[key] = value
+        gda_file.write_text(json.dumps(desc))
+        assert main(["build-gda", str(gda_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestVerify:
     def test_brouwer_accept(self, circ_file, tmp_path, capsys):
@@ -111,6 +133,26 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"type": "NOR", "in": ["a", "b", "c"], "out": "d"},
+            {"type": "PURIFY", "in": ["a"], "out": "bc"},
+            {"type": "ORACLE", "in": ["a"], "out": ["b", "c"]},
+            {"type": "NOR", "in": ["a", 1], "out": "d"},
+        ],
+    )
+    def test_malformed_gate_exits_two(self, tmp_path, capsys, gate):
+        circ = tmp_path / "bad.json"
+        oracle = {"kind": "truth_table", "data": [0, 1]}
+        circ.write_text(json.dumps({"nodes": ["a", "b", "c", "d"], "gates": [gate], "oracle": oracle}))
+        points = tmp_path / "z.csv"
+        points.write_text("0.5,0.5,0.5,0.5\n")
+        assert main(["verify", str(circ), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_wrong_length_exits_two(self, circ_file, tmp_path):
         points = tmp_path / "short.bin"
         np.ones(2).astype("<f8").tofile(points)
@@ -144,6 +186,41 @@ class TestGradCheck:
     def test_bad_step_is_usage_error(self, circ_file, gda_file, h):
         assert main(["grad-check", str(circ_file), f"--h={h}"]) == 2
         assert main(["grad-check", str(gda_file), f"--h={h}"]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_usage_error(self, circ_file, gda_file, capsys, points):
+        assert main(["grad-check", str(circ_file), f"--points={points}"]) == 2
+        assert main(["grad-check", str(gda_file), f"--points={points}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--points must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_circuit_error_is_the_worst_jacobian_entry(self, tmp_path, capsys, name):
+        path = tmp_path / "circuit.json"
+        path.write_text(circuit_to_json(CIRCUITS[name]()))
+        assert main(["grad-check", str(path), "--points", "2", "--seed", "5"]) in (0, 1)
+        out = json.loads(capsys.readouterr().out)
+        # the same points, every entry of every Jacobian column compared
+        bmap = build_brouwer(circuit_from_json(path.read_text()))
+        h = DEFAULTS.grad_fd_step
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(2):
+            z = h + (1 - 2 * h) * rng.random(bmap.dim)
+            jac = eval_JF(bmap, z)
+            for j in range(bmap.dim):
+                up, down = z.copy(), z.copy()
+                up[j] += h
+                down[j] -= h
+                fd = (eval_F(bmap, up) - eval_F(bmap, down)) / (2 * h)
+                for i in range(bmap.dim):
+                    err = abs(fd[i] - jac[i, j])
+                    scale = max(abs(fd[i]), abs(jac[i, j]))
+                    worst = max(worst, err / scale if scale > 1.0 else err)
+        assert worst > 0.0
+        assert out["max_rel_err"] == worst
+        assert out["checked"] == 2
 
     def test_nan_jacobian_fails_with_null_error(self, circ_file, monkeypatch, capsys):
         from minmaxlab import brouwer

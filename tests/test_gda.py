@@ -92,6 +92,21 @@ class TestParameters:
         with pytest.raises(ValueError):
             derive_parameters(m=2, mode="scaled", delta=-0.1, n=4, eps=1e-4)
 
+    @pytest.mark.parametrize(
+        "delta, n, eps",
+        [
+            (math.nan, 4, 1e-4),
+            (math.inf, 4, 1e-4),
+            (0.1, 4, math.nan),
+            (0.1, 4, math.inf),
+            (0.1, math.inf, 1e-4),
+            (0.1, math.nan, 1e-4),
+        ],
+    )
+    def test_scaled_rejects_non_finite(self, delta, n, eps):
+        with pytest.raises(ValueError):
+            derive_parameters(m=2, mode="scaled", delta=delta, n=n, eps=eps)
+
     def test_mode_recorded(self):
         p = derive_parameters(m=2, mode="scaled", delta=0.1, n=4, eps=1e-4)
         assert p.as_dict()["mode"] == "scaled"

@@ -4,9 +4,10 @@ per-component and per-block references, bit for bit.
 The references dispatch on each gate of the circuit directly, so they
 share no code with the gate table.  The gradient reference calls
 eval_F / eval_JF block by block, so its ledger charges are compared too.
-The interpolation's box profile and gradient, and the Sperner labeling,
-are checked against the straightforward formulas the same way; so are
-the JSON round trip of circuits and the sign of the endpoint gap.
+The interpolation's box profile, gradient and Hessian entries, and the
+Sperner labeling, are checked against the straightforward formulas the
+same way; so are the JSON round trip of circuits, the sign of the
+endpoint gap, and the monotonicity of both decoders in their thresholds.
 """
 
 import math
@@ -15,8 +16,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minmaxlab.boolinterp import BoolOracle, active_vertex, box_profile, interp_eval, interp_grad
-from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
+from minmaxlab.boolinterp import BoolOracle, active_vertex, box_profile, interp_eval, interp_grad, interp_hess_entry
+from minmaxlab.brouwer import build_brouwer, decode_brouwer, eval_F, eval_JF
 from minmaxlab.circuit import (
     NOR,
     ORACLE,
@@ -33,6 +34,7 @@ from minmaxlab.gda import (
     _gadgets_from_blocks,
     block_energies,
     build_gda_instance,
+    decode_gda,
     derive_parameters,
     endpoint_gap,
     eval_f,
@@ -321,6 +323,38 @@ def test_interp_matches_plain_product(arity, data):
     assert same_bits(interp_grad(x, oracle), reference_interp_grad(x, oracle))
 
 
+def reference_interp_hess(x, oracle, j, k):
+    """The plain product differentiated twice, over every coordinate."""
+    vertex = active_vertex(x)
+    if vertex is None:
+        return 0.0
+    args = [yi + (1 - 2 * yi) * xi for xi, yi in zip(x, vertex)]
+    if j == k:
+        rest = 1.0
+        for i, a in enumerate(args):
+            if i != j:
+                rest *= ALPHA(a)
+        dphi = ALPHA.d2(args[j]) * rest
+    else:
+        dphi = (1.0 - 2.0 * vertex[j]) * ALPHA.d1(args[j]) * (1.0 - 2.0 * vertex[k]) * ALPHA.d1(args[k])
+        for i, a in enumerate(args):
+            if i != j and i != k:
+                dphi *= ALPHA(a)
+    return 0.0 if dphi == 0.0 else (oracle.fn(vertex) - 0.5) * dphi
+
+
+@PROPERTY
+@given(arity=st.integers(1, 5), data=st.data())
+def test_interp_hess_matches_plain_product(arity, data):
+    table = data.draw(st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity))
+    oracle = BoolOracle.from_truth_table(table)
+    x = data.draw(st.lists(near_knee, min_size=arity, max_size=arity))
+    for j in range(arity):
+        for k in range(arity):
+            expected = reference_interp_hess(x, oracle, j, k)
+            assert same_bits(np.array(interp_hess_entry(x, oracle, j, k)), np.array(expected))
+
+
 # ---------------------------------------------------------------------------
 # Sperner labeling: Python-float comparison against the numpy formula
 # ---------------------------------------------------------------------------
@@ -441,3 +475,60 @@ def test_stationarity_gap_is_nonnegative(name, seed):
     inst = instance(name, 2)
     x, y = pair(inst, "random", np.random.default_rng(seed))
     assert stationarity_gap(inst, x, y) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# decoding is monotone in its thresholds: 0 < bot < 1
+# ---------------------------------------------------------------------------
+
+RANK = {0: 0, None: 1, 1: 2}
+
+
+def around(*values):
+    return st.sampled_from(sorted(
+        {w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))}
+    ))
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(FACTORIES)), data=st.data())
+def test_decode_brouwer_is_monotone(name, data):
+    """Raising one coordinate never lowers its decoded value and leaves
+    the others as they were."""
+    bmap = build_brouwer(FACTORIES[name]())
+    coordinate = st.one_of(unit, around(1.0 / 6.0, 5.0 / 6.0))
+    z = np.array(data.draw(st.lists(coordinate, min_size=bmap.dim, max_size=bmap.dim)))
+    v = data.draw(st.integers(0, bmap.dim - 1))
+    raised = z.copy()
+    raised[v] = data.draw(st.one_of(st.floats(float(z[v]), 1.0), coordinate.filter(lambda t: t >= z[v])))
+    before, after = decode_brouwer(bmap, z).values, decode_brouwer(bmap, raised).values
+    node = bmap.node_order[v]
+    assert RANK[after[node]] >= RANK[before[node]]
+    assert {k: b for k, b in before.items() if k != node} == {k: b for k, b in after.items() if k != node}
+
+
+@PROPERTY
+@given(name=st.sampled_from(["nor_loop", "oracle_purify"]), data=st.data())
+def test_decode_gda_is_monotone(name, data):
+    """Raising one block's squared distance never lowers that block's
+    decoded value and leaves the other blocks' values as they were.  Block
+    v of y is t everywhere and of x is 0, so its squared distance n m t^2
+    rises with t; t is drawn inside and around the energy step's knees 3m
+    and 3m + 1."""
+    inst = instance(name, 4)
+    size = inst.n * inst.m
+    lo, hi = math.sqrt(3.0 * inst.m / size), math.sqrt((3.0 * inst.m + 1.0) / size)
+    t = st.one_of(st.floats(0.0, 1.0), st.floats(lo, hi), around(lo, hi))
+    t1, t2 = sorted(data.draw(t) for _ in range(2))
+    v = data.draw(st.integers(0, inst.m - 1))
+    x = np.zeros(inst.dim)
+    y = np.array(data.draw(st.lists(unit, min_size=inst.dim, max_size=inst.dim)))
+    by = inst.blocks(y)
+    decoded = []
+    for tv in (t1, t2):
+        by[v] = tv
+        decoded.append(decode_gda(inst, x, y).values)
+    before, after = decoded
+    node = inst.node_order[v]
+    assert RANK[after[node]] >= RANK[before[node]]
+    assert {k: b for k, b in before.items() if k != node} == {k: b for k, b in after.items() if k != node}
