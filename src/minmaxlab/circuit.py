@@ -318,12 +318,18 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
+def _name_list(names, what: str) -> Tuple[str, ...]:
+    """names as a tuple; it must be a JSON list of strings, else ValueError
+    saying what was expected."""
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"{what}, got {names!r}")
+    return tuple(names)
+
+
 def _node_names(value, key: str) -> Tuple[str, ...]:
     """A gate's "in" or "out": one node name or a list of them."""
     names = [value] if isinstance(value, str) else value
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise ValueError(f"gate {key!r} must be a node name or a list of node names, got {value!r}")
-    return tuple(names)
+    return _name_list(names, f"gate {key!r} must be a node name or a list of node names")
 
 
 def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> CircuitInstance:
@@ -339,7 +345,7 @@ def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> Circui
         gates.append(Gate(kind, _node_names(item["in"], "in"), _node_names(item["out"], "out")))
     oracle = _oracle_from_spec(payload.get("oracle"), ledger)
     return CircuitInstance(
-        nodes=tuple(payload["nodes"]),
+        nodes=_name_list(payload["nodes"], "'nodes' must be a list of node names"),
         gates=tuple(_canonical_gates(gates)),
         oracle=oracle,
         ledger=ledger,

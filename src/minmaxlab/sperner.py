@@ -23,6 +23,12 @@ before charging the ledger, and accepts only labels equal to -1 or +1.
 The induced labeling hands F an ndarray and compares on Python floats
 with the operations of the float64 formula above, so the labels are the
 same bits.
+
+The exhaustive search and export_labeling_grid share one walk,
+_label_grid, that queries every grid point in row-major order and keeps
+one packed code per point (bit i set when label i is +1) in a flat
+array, not a tuple per point.  The search skips every unit cell whose
+corner codes cannot cover and tests clusters with bitwise OR and AND.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ class SpernerInstance:
     labeling: Callable[[GridPoint], Tuple[int, ...]]
     ledger: QueryLedger = field(default_factory=QueryLedger)
     name: str = "lambda"
+
+    def __post_init__(self) -> None:
+        # M = 1 would put every point on both faces of every coordinate
+        if self.M < 2 or self.d < 1:
+            raise ValueError(f"need M >= 2 and d >= 1, got M={self.M}, d={self.d}")
 
     def query(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Labels of one grid point, charged as one query.  Coordinates must
@@ -159,19 +170,21 @@ def make_brouwer_labeling(
 ) -> Tuple[Callable[[GridPoint], Tuple[int, ...]], int]:
     """Raw (uncounted) labeling induced by F at accuracy eps; returns (fn, M).
 
-    F gets phi(p) as an ndarray; the comparison runs on Python floats with
-    the operations, and their order, of (1 - eps/2) * F(z) + (eps/2) * 0.5 > z
-    on float64 arrays, so the labels are those of that formula."""
+    fn takes points of [1..M]^d with int coordinates, as SpernerInstance.query
+    hands them on.  F gets phi(p) as an ndarray; the comparison runs on
+    Python floats with the operations, and their order, of
+    (1 - eps/2) * F(z) + (eps/2) * 0.5 > z on float64 arrays, so the labels
+    are those of that formula."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     M = math.ceil(1.0 + 3.0 / eps)
     scale, shift = float(1.0 - eps / 2.0), float((eps / 2.0) * 0.5)
+    phi = [(t - 1.0) / (M - 1.0) for t in range(M + 1)]  # phi[t], the grid_to_cube value
 
     def labeling(point: GridPoint) -> Tuple[int, ...]:
-        z = grid_to_cube(point, M)
-        fz = np.asarray(F(z), dtype=float).tolist()
-        zl = z.tolist()
-        return tuple([1 if scale * fz[i] + shift > zl[i] else -1 for i in range(d)])
+        z = [phi[t] for t in point]
+        fz = np.asarray(F(np.array(z)), dtype=float).tolist()
+        return tuple([1 if scale * fz[i] + shift > z[i] else -1 for i in range(d)])
 
     return labeling, M
 
@@ -194,8 +207,12 @@ def brouwer_to_labeling(
 
 
 def decode_sperner_to_fixed_point(sol: SpernerSolution, M: int) -> np.ndarray:
-    """Map the first solution point back to the cube."""
-    return grid_to_cube(sol.points[0], M)
+    """Map the first solution point back to the cube; it must be a point of
+    [1..M]^d."""
+    if not sol.points:
+        raise ValueError("empty solution")
+    p = sol.points[0]
+    return grid_to_cube(_grid_point(p, M, len(p)), M)
 
 
 def with_boundary_checks(inst: SpernerInstance) -> SpernerInstance:
@@ -271,33 +288,75 @@ def get_test_map(name: str) -> TestMap:
 # exhaustive search (small instances only)
 # ---------------------------------------------------------------------------
 
+def _label_grid(inst: SpernerInstance):
+    """Query every grid point once, in product (row-major) order, and return
+    one code per point in a flat array: bit i is 1 when label i is +1.
+
+    Codes fit a bytearray up to d = 8; wider grids use an array of unsigned
+    longs (at least 32 bits), enough for the d <= 19 that the exhaustive
+    budget allows at M = 2."""
+    d = inst.d
+    if d <= 8:
+        grid = bytearray()
+    else:
+        from array import array  # deferred: its shared library adds resident memory that d <= 8 never needs
+
+        grid = array("L")
+    codes: Dict[Tuple[int, ...], int] = {}  # at most the 2^d sign tuples
+    for point in product(range(1, inst.M + 1), repeat=d):
+        labels = inst.query(point)
+        code = codes.get(labels)
+        if code is None:
+            code = codes[labels] = sum(1 << i for i, l in enumerate(labels) if l == 1)
+        grid.append(code)
+    return grid
+
+
+def _covers(codes: Sequence[int], full: int) -> bool:
+    """Whether the codes carry both signs in every coordinate: their OR is
+    full (some +1) and their AND is 0 (some -1)."""
+    hi, lo = 0, full
+    for c in codes:
+        hi |= c
+        lo &= c
+    return hi == full and not lo
+
+
 def find_sperner_solution_exhaustive(inst: SpernerInstance) -> Optional[SpernerSolution]:
     """Scan all unit cells for a covering cluster; gated to M^d <= 10^6.
 
     Looks for clusters of size d (size 2 when d = 1, since a single point
-    carries only one label per coordinate).  Deterministic scan order, so
-    the first solution is stable.
+    carries only one label per coordinate).  Cells are scanned in
+    lexicographic anchor order and clusters in combinations_with_replacement
+    order over the cell's corners, so the first solution is stable.  A
+    cluster covers when the OR of its codes has all d bits set and their
+    AND has none; a cell whose corners fail that test together is skipped,
+    since no cluster of them can pass it.
     """
-    if inst.M ** inst.d > DEFAULTS.exhaustive_grid_budget:
+    M, d = inst.M, inst.d
+    if M ** d > DEFAULTS.exhaustive_grid_budget:
         raise ValueError(
-            f"grid of size {inst.M}^{inst.d} exceeds budget {DEFAULTS.exhaustive_grid_budget}"
+            f"grid of size {M}^{d} exceeds budget {DEFAULTS.exhaustive_grid_budget}"
         )
-    labels: Dict[GridPoint, Tuple[int, ...]] = {}
-    for point in product(range(1, inst.M + 1), repeat=inst.d):
-        labels[point] = inst.query(point)
+    grid = _label_grid(inst)
 
-    cluster_size = max(inst.d, 2)
-    for anchor in product(range(1, inst.M), repeat=inst.d):
-        cell = list(product(*[(a, a + 1) for a in anchor]))
-        for combo in combinations_with_replacement(cell, cluster_size):
-            covered = True
-            for i in range(inst.d):
-                seen = {labels[p][i] for p in combo}
-                if seen != {-1, 1}:
-                    covered = False
-                    break
-            if covered:
-                return SpernerSolution(points=tuple(combo))
+    full = (1 << d) - 1
+    cluster_size = max(d, 2)
+    strides = [M ** (d - 1 - i) for i in range(d)]
+    offsets = [sum(s for s, b in zip(strides, bits) if b) for bits in product((0, 1), repeat=d)]
+    corners = range(len(offsets))
+    # anchors in lexicographic order: one run of M - 1 along the last axis per row
+    for row in product(*[range(0, (M - 1) * s, s) for s in strides[:-1]]):
+        start = sum(row)
+        for base in range(start, start + M - 1):
+            cell = [grid[base + o] for o in offsets]
+            if not _covers(cell, full):
+                continue
+            for combo in combinations_with_replacement(corners, cluster_size):
+                if _covers([cell[j] for j in combo], full):
+                    return SpernerSolution(
+                        points=tuple(tuple((base + offsets[j]) // s % M + 1 for s in strides) for j in combo)
+                    )
     return None
 
 
@@ -306,12 +365,4 @@ def export_labeling_grid(inst: SpernerInstance) -> bytes:
     the label in coordinate i is +1."""
     if inst.d > 2:
         raise ValueError("dense export supported only for d <= 2")
-    out = bytearray()
-    for point in product(range(1, inst.M + 1), repeat=inst.d):
-        labels = inst.query(point)
-        byte = 0
-        for i, l in enumerate(labels):
-            if l == 1:
-                byte |= 1 << i
-        out.append(byte)
-    return bytes(out)
+    return bytes(_label_grid(inst))

@@ -409,6 +409,12 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="node name"):
             self.parse(gate)
 
+    @pytest.mark.parametrize("nodes", [[["a"], "b"], "ab", ["a", 1], None])
+    def test_nodes_must_be_a_list_of_names(self, nodes):
+        payload = {"nodes": nodes, "gates": [{"type": "NOR", "in": ["a", "a"], "out": "b"}], "oracle": None}
+        with pytest.raises(ValueError, match="'nodes' must be a list of node names"):
+            circuit_from_json(json.dumps(payload))
+
     def test_sperner_oracle_M_mismatch_rejected(self):
         import json
 

@@ -153,6 +153,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("nodes", [[["a"], "b", "c", "d"], "abcd"])
+    def test_malformed_nodes_exit_two(self, tmp_path, capsys, nodes):
+        circ = tmp_path / "bad.json"
+        circ.write_text(json.dumps({"nodes": nodes, "gates": [{"type": "NOR", "in": ["c", "d"], "out": "b"}], "oracle": None}))
+        points = tmp_path / "z.csv"
+        points.write_text("0.5,0.5,0.5,0.5\n")
+        assert main(["verify", str(circ), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_wrong_length_exits_two(self, circ_file, tmp_path):
         points = tmp_path / "short.bin"
         np.ones(2).astype("<f8").tofile(points)

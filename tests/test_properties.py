@@ -6,11 +6,14 @@ share no code with the gate table.  The gradient reference calls
 eval_F / eval_JF block by block, so its ledger charges are compared too.
 The interpolation's box profile, gradient and Hessian entries, and the
 Sperner labeling, are checked against the straightforward formulas the
-same way; so are the JSON round trip of circuits, the sign of the
+same way; so are the packed-code Sperner search against the dict-based
+scan it replaced, the JSON round trip of circuits, the sign of the
 endpoint gap, and the monotonicity of both decoders in their thresholds.
 """
 
 import math
+from itertools import combinations_with_replacement, product
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -41,8 +44,15 @@ from minmaxlab.gda import (
     eval_grad_f,
     stationarity_gap,
 )
+from minmaxlab.config import DEFAULTS
 from minmaxlab.smoothstep import ALPHA, ELL, G
-from minmaxlab.sperner import make_brouwer_labeling
+from minmaxlab.sperner import (
+    GridPoint,
+    SpernerInstance,
+    SpernerSolution,
+    find_sperner_solution_exhaustive,
+    make_brouwer_labeling,
+)
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 
@@ -394,6 +404,74 @@ def test_labeling_tie_gets_minus_one():
     assert (1 - 0.5 / 2) * z[0] + (0.5 / 2) * 0.5 == z[0]  # an exact tie
     assert labeling((4,)) == (-1,)
     assert labeling((3,)) == (1,) and labeling((5,)) == (-1,)
+
+
+# ---------------------------------------------------------------------------
+# Sperner search: packed codes against the dict-based scan
+# ---------------------------------------------------------------------------
+
+def reference_find_sperner_solution(inst: SpernerInstance) -> Optional[SpernerSolution]:
+    """Scan all unit cells for a covering cluster; gated to M^d <= 10^6.
+
+    Looks for clusters of size d (size 2 when d = 1, since a single point
+    carries only one label per coordinate).  Deterministic scan order, so
+    the first solution is stable.
+    """
+    if inst.M ** inst.d > DEFAULTS.exhaustive_grid_budget:
+        raise ValueError(
+            f"grid of size {inst.M}^{inst.d} exceeds budget {DEFAULTS.exhaustive_grid_budget}"
+        )
+    labels: Dict[GridPoint, Tuple[int, ...]] = {}
+    for point in product(range(1, inst.M + 1), repeat=inst.d):
+        labels[point] = inst.query(point)
+
+    cluster_size = max(inst.d, 2)
+    for anchor in product(range(1, inst.M), repeat=inst.d):
+        cell = list(product(*[(a, a + 1) for a in anchor]))
+        for combo in combinations_with_replacement(cell, cluster_size):
+            covered = True
+            for i in range(inst.d):
+                seen = {labels[p][i] for p in combo}
+                if seen != {-1, 1}:
+                    covered = False
+                    break
+            if covered:
+                return SpernerSolution(points=tuple(combo))
+    return None
+
+
+def same_search(M, d, labeling):
+    packed = SpernerInstance(M=M, d=d, labeling=labeling)
+    plain = SpernerInstance(M=M, d=d, labeling=labeling)
+    sol = find_sperner_solution_exhaustive(packed)
+    assert sol == reference_find_sperner_solution(plain)
+    assert packed.ledger.snapshot() == plain.ledger.snapshot() == {"lambda": M**d}
+    return sol
+
+
+@PROPERTY
+@given(d=st.integers(1, 3), M=st.integers(2, 6), data=st.data())
+def test_packed_search_matches_dict_search(d, M, data):
+    # labels drawn from a small palette of sign vectors, so that some
+    # labelings cannot cover a coordinate and the search returns None
+    signs = st.tuples(*[st.sampled_from([-1, 1])] * d)
+    palette = data.draw(st.lists(signs, min_size=1, max_size=4))
+    points = list(product(range(1, M + 1), repeat=d))
+    table = dict(zip(points, data.draw(st.lists(st.sampled_from(palette), min_size=len(points), max_size=len(points)))))
+    same_search(M, d, lambda p: table[p])
+
+
+def test_packed_search_finds_and_misses():
+    # one labeling of each outcome, so neither rests on what hypothesis draws
+    assert same_search(4, 2, lambda p: tuple(1 if t <= 2 else -1 for t in p)) == SpernerSolution(((2, 2), (3, 3)))
+    assert same_search(4, 2, lambda p: (1, -1)) is None
+
+
+def test_packed_search_with_codes_wider_than_a_byte():
+    # d = 9 codes run to 511; the boundary labeling of [2]^9 covers with
+    # eight copies of (1,...,1) and one (2,...,2), the 512th cluster tried
+    sol = same_search(2, 9, lambda p: tuple(1 if t == 1 else -1 for t in p))
+    assert sol == SpernerSolution(((1,) * 9,) * 8 + ((2,) * 9,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -215,6 +216,25 @@ class TestEndToEnd:
         b = find_sperner_solution_exhaustive(brouwer_to_labeling(fmap.fn, 2, 0.2))
         assert a == b
 
+    def test_search_holds_one_small_code_per_point(self):
+        # 44^3 points, the fixed-point benchmark's grid at eps = 0.07; a
+        # tuple of labels per point peaked above 13 MB here
+        inst = SpernerInstance(M=44, d=3, labeling=lambda p: tuple([1 if t <= 22 else -1 for t in p]))
+        tracemalloc.start()
+        try:
+            sol = find_sperner_solution_exhaustive(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol == SpernerSolution(((22, 22, 22), (22, 22, 22), (23, 23, 23)))
+        assert inst.ledger.count("lambda") == 44**3
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("M, d", [(1, 2), (0, 1), (3, 0)])
+    def test_degenerate_grid_rejected(self, M, d):
+        with pytest.raises(ValueError, match="M >= 2"):
+            SpernerInstance(M=M, d=d, labeling=lambda p: (1,) * d)
+
     def test_budget_gate(self):
         inst = SpernerInstance(M=2000, d=3, labeling=lambda p: (1, 1, 1))
         with pytest.raises(ValueError):
@@ -226,6 +246,15 @@ class TestDecode:
         sol = SpernerSolution(((16,) * 2,))
         z = decode_sperner_to_fixed_point(sol, 31)
         assert np.allclose(z, 0.5)
+
+    @pytest.mark.parametrize("points", [((0, 40),), ((16, 16.5),), ((40, 16), (16, 16))])
+    def test_first_point_outside_grid_rejected(self, points):
+        with pytest.raises(ValueError):
+            decode_sperner_to_fixed_point(SpernerSolution(points), 31)
+
+    def test_empty_solution_rejected(self):
+        with pytest.raises(ValueError, match="empty solution"):
+            decode_sperner_to_fixed_point(SpernerSolution(()), 31)
 
     def test_registry_metadata(self):
         with pytest.raises(ValueError):
