@@ -81,16 +81,18 @@ class BoolOracle:
         ledger: Optional[QueryLedger] = None,
     ) -> "BoolOracle":
         """Oracle backed by a table indexed big-endian (first bit most
-        significant); table length must be a power of two, arity <= 20."""
+        significant); table length must be a power of two, arity <= 20,
+        and each entry must equal 0 or 1, the rule query applies to bits."""
         n = len(table)
         arity = n.bit_length() - 1
         if n != 1 << arity or arity < 1:
             raise ValueError(f"truth table length must be a power of two >= 2, got {n}")
         if arity > DEFAULTS.truth_table_max_arity:
             raise ValueError(f"truth tables limited to arity {DEFAULTS.truth_table_max_arity}")
-        vals = tuple(int(v) for v in table)
-        if any(v not in (0, 1) for v in vals):
-            raise ValueError("truth table entries must be 0/1")
+        for v in table:
+            if not (v == 0 or v == 1):
+                raise ValueError(f"truth table entries must be 0 or 1, got {v!r}")
+        vals = tuple(1 if v == 1 else 0 for v in table)
 
         def fn(bits: Bits) -> int:
             idx = 0

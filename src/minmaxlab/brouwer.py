@@ -12,13 +12,13 @@ Only ORACLE coordinates touch the oracle, and each touches it at most
 once per evaluation, so a full F or Jacobian evaluation costs at most
 |V| oracle queries.  Entrywise |dF_i/dz_j| <= e^12.
 
-build_brouwer compiles the circuit once into a GateTable, whose values
-and slopes methods are the only place gate semantics are dispatched: F,
-its Jacobian, the feedback cut and the min-max signals of gda.py all
-read it.  The kernel is plateau-first: a NOR input sum at or beyond a
-knee of g (1/3, 2/3), or a PURIFY input at or beyond a knee of ell
-(5/12, 7/12), gets the step's constant value and zero slope (signed as
-the step gives it) from NamedStep.plateau; only inputs inside the
+build_brouwer compiles the circuit once into a frozen BrouwerMap, whose
+values and slopes methods are the only place gate semantics are
+dispatched: F, its Jacobian, the feedback cut and the min-max signals of
+gda.py all read it.  The kernel is plateau-first: a NOR input sum at or
+beyond a knee of g (1/3, 2/3), or a PURIFY input at or beyond a knee of
+ell (5/12, 7/12), gets the step's constant value and zero slope (signed
+as the step gives it) from NamedStep.plateau; only inputs inside the
 transition band evaluate G or ELL, so smoothstep stays the one formula.
 
 eval_F and eval_JF take one point, and each call charges exactly one
@@ -67,16 +67,21 @@ _ELL_PLATEAU = ELL.plateau()
 
 
 @dataclass(frozen=True)
-class GateTable:
-    """Per coordinate w: the kind of the gate that outputs it, the input
-    coordinates it reads, and the PURIFY offset added to its input on the
-    map side (outputs +1/4, -1/4) and on the signal side (-1/4, +1/4).
-    ``gate_order`` lists coordinates gate by gate and ``fan_in`` the edges
-    (u, w) from each input u to each output w in that order; ``jac_index``
-    holds the flat positions w * d + u of the Jacobian's nonzeros, row by
-    row."""
+class BrouwerMap:
+    """The circuit compiled into its coordinate map.  Per coordinate w: the
+    kind of the gate that outputs it, the input coordinates it reads, and
+    the PURIFY offset added to its input on the map side (outputs +1/4,
+    -1/4) and on the signal side (-1/4, +1/4).  ``positions`` maps each
+    node to its coordinate, ``gate_order`` lists coordinates gate by gate
+    and ``fan_in`` the edges (u, w) from each input u to each output w in
+    that order; ``jac_index`` holds the flat positions w * d + u of the
+    Jacobian's nonzeros, row by row."""
 
-    index: Dict[str, int]
+    circuit: CircuitInstance
+    dim: int
+    node_order: Tuple[str, ...]
+    ledger: QueryLedger
+    positions: Dict[str, int]
     kinds: Tuple[str, ...]
     inputs: Tuple[Tuple[int, ...], ...]
     map_offsets: Tuple[float, ...]
@@ -85,29 +90,12 @@ class GateTable:
     fan_in: Tuple[Tuple[int, int], ...]
     jac_index: np.ndarray = field(repr=False, compare=False)
 
-    @classmethod
-    def compile(cls, inst: CircuitInstance) -> "GateTable":
-        index = {v: i for i, v in enumerate(inst.nodes)}
-        d = len(index)
-        kinds, inputs = [NOR] * d, [()] * d
-        map_offsets, signal_offsets = [0.0] * d, [0.0] * d
-        gate_order: List[int] = []
-        fan_in: List[Tuple[int, int]] = []
-        for gate in inst.gates:
-            ins = tuple(index[u] for u in gate.inputs)
-            for pos, out in enumerate(gate.outputs):
-                w = index[out]
-                kinds[w], inputs[w] = gate.kind, ins
-                if gate.kind == PURIFY:
-                    map_offsets[w] = (+0.25, -0.25)[pos]
-                    signal_offsets[w] = (-0.25, +0.25)[pos]
-                gate_order.append(w)
-                fan_in += ((u, w) for u in ins)
-        jac_index = np.array([w * d + u for w in range(d) for u in inputs[w]], dtype=np.intp)
-        return cls(index, tuple(kinds), tuple(inputs), tuple(map_offsets),
-                   tuple(signal_offsets), tuple(gate_order), tuple(fan_in), jac_index)
+    def index(self, node: str) -> int:
+        if node not in self.positions:
+            raise ValueError(f"{node!r} is not a node of the circuit")
+        return self.positions[node]
 
-    def values(self, vals: Sequence[float], offsets: Sequence[float], oracle, rows: Iterable[int]) -> List[float]:
+    def values(self, vals: Sequence[float], offsets: Sequence[float], rows: Iterable[int]) -> List[float]:
         """Smooth response of each row's gate to the coordinate values `vals`.
 
         Inputs at or beyond a knee get the step's plateau value without a
@@ -126,10 +114,10 @@ class GateTable:
                 x = vals[ins[0]] + offsets[w]
                 append(e_lo if x <= e1 else e_hi if x >= e2 else ELL(x))
             else:
-                append(interp_eval([vals[i] for i in ins], oracle))
+                append(interp_eval([vals[i] for i in ins], self.circuit.oracle))
         return out
 
-    def slopes(self, vals: Sequence[float], offsets: Sequence[float], oracle, rows: Iterable[int]) -> List[float]:
+    def slopes(self, vals: Sequence[float], offsets: Sequence[float], rows: Iterable[int]) -> List[float]:
         """d response / d input for each input of each row's gate, flattened row by row."""
         kinds, inputs = self.kinds, self.inputs
         g1, g2, _, _, g_flat = _G_PLATEAU
@@ -146,22 +134,8 @@ class GateTable:
                 x = vals[ins[0]] + offsets[w]
                 append(e_flat if x <= e1 or x >= e2 else ELL.d1(x))
             else:
-                out += interp_grad([vals[i] for i in ins], oracle).tolist()
+                out += interp_grad([vals[i] for i in ins], self.circuit.oracle).tolist()
         return out
-
-
-@dataclass
-class BrouwerMap:
-    circuit: CircuitInstance
-    dim: int
-    node_order: Tuple[str, ...]
-    ledger: QueryLedger
-    table: GateTable = field(repr=False)
-
-    def index(self, node: str) -> int:
-        if node not in self.table.index:
-            raise ValueError(f"{node!r} is not a node of the circuit")
-        return self.table.index[node]
 
 
 def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
@@ -169,13 +143,25 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
     violations = validate_instance(inst)
     if violations:
         raise ValueError("invalid circuit instance: " + "; ".join(violations))
-    return BrouwerMap(
-        circuit=inst,
-        dim=len(inst.nodes),
-        node_order=tuple(inst.nodes),
-        ledger=inst.ledger,
-        table=GateTable.compile(inst),
-    )
+    positions = {v: i for i, v in enumerate(inst.nodes)}
+    d = len(positions)
+    kinds, inputs = [NOR] * d, [()] * d
+    map_offsets, signal_offsets = [0.0] * d, [0.0] * d
+    gate_order: List[int] = []
+    fan_in: List[Tuple[int, int]] = []
+    for gate in inst.gates:
+        ins = tuple(positions[u] for u in gate.inputs)
+        for pos, out in enumerate(gate.outputs):
+            w = positions[out]
+            kinds[w], inputs[w] = gate.kind, ins
+            if gate.kind == PURIFY:
+                map_offsets[w] = (+0.25, -0.25)[pos]
+                signal_offsets[w] = (-0.25, +0.25)[pos]
+            gate_order.append(w)
+            fan_in += ((u, w) for u in ins)
+    jac_index = np.array([w * d + u for w in range(d) for u in inputs[w]], dtype=np.intp)
+    return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(kinds), tuple(inputs),
+                      tuple(map_offsets), tuple(signal_offsets), tuple(gate_order), tuple(fan_in), jac_index)
 
 
 def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
@@ -191,24 +177,23 @@ def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
 
 
 def eval_component(bmap: BrouwerMap, node_idx: int, z: Sequence[float]) -> float:
-    return bmap.table.values(z, bmap.table.map_offsets, bmap.circuit.oracle, (node_idx,))[0]
+    return bmap.values(z, bmap.map_offsets, (node_idx,))[0]
 
 
 def eval_F(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     """F(z); at most one oracle query per ORACLE coordinate."""
     zl = _check_domain(bmap, z)
     bmap.ledger.record("F_evals")
-    table = bmap.table
-    return np.array(table.values(zl, table.map_offsets, bmap.circuit.oracle, range(bmap.dim)))
+    return np.array(bmap.values(zl, bmap.map_offsets, range(bmap.dim)))
 
 
 def eval_JF(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     """Dense Jacobian; rows are sparse by gate fan-in, filled analytically."""
     zl = _check_domain(bmap, z)
     bmap.ledger.record("JF_evals")
-    table, d = bmap.table, bmap.dim
+    d = bmap.dim
     jac = np.zeros(d * d)
-    jac[table.jac_index] = table.slopes(zl, table.map_offsets, bmap.circuit.oracle, range(d))
+    jac[bmap.jac_index] = bmap.slopes(zl, bmap.map_offsets, range(d))
     return jac.reshape(d, d)
 
 
@@ -255,15 +240,13 @@ class FixedPointResult:
     trace: List[Tuple[int, float, int]] = field(default_factory=list)
 
 
-def damped_iteration(
-    bmap: BrouwerMap,
-    z0: Optional[np.ndarray] = None,
-    gamma: float = 0.25,
-    steps: int = 5000,
-    target: float = DEFAULTS.brouwer_eps,
-    trace_every: int = 100,
-) -> FixedPointResult:
-    """z <- (1-gamma) z + gamma F(z), tracking the best iterate seen."""
+def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: int = 5000) -> FixedPointResult:
+    """z <- (1-gamma) z + gamma F(z) with gamma = 1/4, tracking the best
+    iterate seen.  The trace gets a row every 100 steps, and a last row
+    with the best residual unless it would repeat the row before."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    gamma, target = 0.25, DEFAULTS.brouwer_eps
     z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
     best_z = z.copy()
     fz = eval_F(bmap, z)
@@ -277,11 +260,13 @@ def damped_iteration(
         if res < best_res:
             best_res = res
             best_z = z.copy()
-        if it % trace_every == 0:
+        if it % 100 == 0:
             trace.append((it, res, bmap.ledger.total()))
         if best_res <= target:
             break
-    trace.append((it, best_res, bmap.ledger.total()))
+    last = (it, best_res, bmap.ledger.total())
+    if trace[-1] != last:
+        trace.append(last)
     return FixedPointResult(
         z=best_z,
         residual=best_res,
@@ -292,13 +277,12 @@ def damped_iteration(
     )
 
 
-def grid_restart_point(bmap: BrouwerMap, resolution: int = 11) -> np.ndarray:
-    """Best starting point on a uniform grid; only sensible for d <= 3."""
+def grid_restart_point(bmap: BrouwerMap) -> np.ndarray:
+    """Lowest-residual point of the uniform 21-point-per-axis grid; gated
+    to d <= 3."""
     if bmap.dim > 3:
         raise ValueError("grid restart is gated to d <= 3")
-    if resolution ** bmap.dim > DEFAULTS.exhaustive_grid_budget:
-        raise ValueError("grid restart budget exceeded")
-    axis = np.linspace(0.0, 1.0, resolution)
+    axis = np.linspace(0.0, 1.0, 21)
     best_z = None
     best_res = np.inf
     for combo in product(axis, repeat=bmap.dim):
@@ -350,7 +334,7 @@ def feedback_cut(bmap: BrouwerMap) -> Tuple[List[int], List[int]]:
     # edges collapse, self-loops stay, edges keep first-insertion order
     succ: Dict[int, Dict[int, None]] = {v: {} for v in range(bmap.dim)}
     pred: Dict[int, Dict[int, None]] = {v: {} for v in range(bmap.dim)}
-    for w, inputs in enumerate(bmap.table.inputs):
+    for w, inputs in enumerate(bmap.inputs):
         for u in inputs:
             succ[u][w] = None
             pred[w][u] = None
@@ -385,13 +369,7 @@ def _propagate(bmap: BrouwerMap, cut: Sequence[int], order: Sequence[int], cut_v
     return np.array(z)
 
 
-def cycle_cut_solve(
-    bmap: BrouwerMap,
-    target: float = DEFAULTS.brouwer_eps,
-    gamma0: float = 0.5,
-    max_iter: int = 20000,
-    tol: float = 1e-11,
-) -> FixedPointResult:
+def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
     """Adaptively damped iteration on the feedback-cut reduced map.
 
     Non-cut coordinates are exactly consistent by propagation, so the
@@ -400,8 +378,12 @@ def cycle_cut_solve(
     0 and <= 0 at 1), halves the damping on oscillation, and falls back
     to the bracket midpoint when a step would leave it, which makes the
     iteration globally convergent.  Multi-coordinate cuts use the same
-    adaptive damping without the bracket.
+    adaptive damping without the bracket, from the centre and then up to
+    seven random starts.  Damping starts at 1/2; an attempt stops at a
+    reduced displacement of 1e-11 or after 20000 steps, and `iterations`
+    counts the reduced-map evaluations of all attempts.
     """
+    target, max_iter, tol = DEFAULTS.brouwer_eps, 20000, 1e-11
     cut, order = feedback_cut(bmap)
     if not cut:
         z = _propagate(bmap, cut, order, np.empty(0))
@@ -415,7 +397,7 @@ def cycle_cut_solve(
     if len(cut) == 1:
         lo, hi = 0.0, 1.0
         c = 0.5
-        gamma = gamma0
+        gamma = 0.5
         prev_sign = 0
         it = 0
         for it in range(1, max_iter + 1):
@@ -439,11 +421,13 @@ def cycle_cut_solve(
         rng = np.random.default_rng(0)
         best_c = None
         best_norm = np.inf
+        it = 0
         for attempt in range(8):
             c = np.full(len(cut), 0.5) if attempt == 0 else rng.random(len(cut))
-            gamma = gamma0
+            gamma = 0.5
             prev_norm = np.inf
             for _ in range(max_iter):
+                it += 1
                 w = reduced(c) - c
                 norm = float(np.max(np.abs(w)))
                 if norm < best_norm:
@@ -458,7 +442,6 @@ def cycle_cut_solve(
             if best_norm <= tol:
                 break
         cut_values = best_c
-        it = max_iter
     z = _propagate(bmap, cut, order, cut_values)
     res = residual(bmap, z)
     return FixedPointResult(z, res, "cycle_cut", it, res <= target)
@@ -475,34 +458,28 @@ def write_residual_trace(result: FixedPointResult, path) -> None:
             writer.writerow([iteration, repr(res), total])
 
 
-def find_fixed_point(
-    bmap: BrouwerMap,
-    target: float = DEFAULTS.brouwer_eps,
-    gamma: float = 0.25,
-    damped_steps: int = 5000,
-    starts: int = 3,
-    seed: int = 0,
-) -> FixedPointResult:
-    """Damped iteration (multi-start), then grid restart for d <= 3, then
-    the feedback-cut solver; returns the first result within target."""
+def find_fixed_point(bmap: BrouwerMap, damped_steps: int = 5000, seed: int = 0) -> FixedPointResult:
+    """Damped iteration from the centre and two random starts, then from
+    the grid restart point for d <= 3, then the feedback-cut solver;
+    returns the first result within DEFAULTS.brouwer_eps, else the one
+    with the lowest residual."""
     rng = np.random.default_rng(seed)
     best: Optional[FixedPointResult] = None
-    for attempt in range(starts):
+    for attempt in range(3):
         z0 = None if attempt == 0 else rng.random(bmap.dim)
-        result = damped_iteration(bmap, z0=z0, gamma=gamma, steps=damped_steps, target=target)
+        result = damped_iteration(bmap, z0=z0, steps=damped_steps)
         if best is None or result.residual < best.residual:
             best = result
         if result.converged:
             return result
     if bmap.dim <= 3:
-        z0 = grid_restart_point(bmap, resolution=21)
-        result = damped_iteration(bmap, z0=z0, gamma=gamma, steps=damped_steps, target=target)
+        result = damped_iteration(bmap, z0=grid_restart_point(bmap), steps=damped_steps)
         result.method = "grid_restart"
         if result.converged:
             return result
         if result.residual < best.residual:
             best = result
-    result = cycle_cut_solve(bmap, target=target)
+    result = cycle_cut_solve(bmap)
     if result.residual < best.residual:
         best = result
     return best

@@ -297,10 +297,16 @@ def circuit_to_json(inst: CircuitInstance) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[BoolOracle]:
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = _json_object(spec, "'oracle'").get("kind")
     if kind == "truth_table":
         return BoolOracle.from_truth_table(spec["data"], ledger=ledger)
     if kind == "sperner":
@@ -335,11 +341,11 @@ def _node_names(value, key: str) -> Tuple[str, ...]:
 def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> CircuitInstance:
     """Instance from circuit JSON.  Gates are taken as written; their shape
     (inputs and outputs per kind) is left to validate_instance."""
-    payload = json.loads(text)
+    payload = _json_object(json.loads(text), "a circuit file")
     ledger = ledger or QueryLedger()
     gates = []
     for item in payload["gates"]:
-        kind = item["type"]
+        kind = _json_object(item, "each gate")["type"]
         if kind not in _GATE_ORDER:
             raise ValueError(f"unknown gate type {kind!r}")
         gates.append(Gate(kind, _node_names(item["in"], "in"), _node_names(item["out"], "out")))

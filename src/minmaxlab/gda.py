@@ -243,8 +243,8 @@ def energy(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _signals_from_energies(inst: GdaInstance, energies: np.ndarray) -> np.ndarray:
-    table = inst.bmap.table
-    return np.array(table.values(energies.tolist(), table.signal_offsets, inst.circuit.oracle, range(inst.m)))
+    bmap = inst.bmap
+    return np.array(bmap.values(energies.tolist(), bmap.signal_offsets, range(inst.m)))
 
 
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -313,11 +313,11 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     disp = None
     if np.any(ephi1 != 0.0):
         H, disp = _gadgets_from_blocks(inst, bx, by)
-        table = inst.bmap.table
-        slopes = table.slopes(energies.tolist(), table.signal_offsets, inst.circuit.oracle, table.gate_order)
+        bmap = inst.bmap
+        slopes = bmap.slopes(energies.tolist(), bmap.signal_offsets, bmap.gate_order)
         # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order
         sens = [0] * inst.m
-        for (u, w), slope in zip(table.fan_in, slopes):
+        for (u, w), slope in zip(bmap.fan_in, slopes):
             sens[u] += H[w] * slope
         for q in range(inst.m):
             if ephi1[q] != 0.0:

@@ -106,7 +106,9 @@ class SolverRun:
 def _start_point(obj, seed: Optional[int], x0, y0) -> Tuple[np.ndarray, np.ndarray]:
     # Seeded starts use numpy's Generator with the PCG64 bit stream; the
     # stream identity is configuration, not contract.
-    if x0 is not None and y0 is not None:
+    if (x0 is None) != (y0 is None):
+        raise ValueError("give both x0 and y0, or neither")
+    if x0 is not None:
         return np.asarray(x0, dtype=float).copy(), np.asarray(y0, dtype=float).copy()
     rng = np.random.default_rng(0 if seed is None else seed)
     return rng.random(obj.dim_x), rng.random(obj.dim_y)

@@ -181,7 +181,7 @@ def test_criterion_5_brouwer_soundness_small_circuits():
     all_ok = True
     for name, inst in instances:
         bmap = build_brouwer(inst)
-        result = damped_iteration(bmap, gamma=0.25, steps=4000)
+        result = damped_iteration(bmap, steps=4000)
         if not result.converged:
             # repelling interior fixed point: damp the feedback-cut
             # reduction instead (see decisions ledger)

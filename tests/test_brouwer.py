@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minmaxlab import smoothstep
+from minmaxlab import brouwer, smoothstep
 from minmaxlab.brouwer import (
     build_brouwer,
     cycle_cut_solve,
@@ -59,7 +59,7 @@ def _knee_points():
 
 
 class TestGateTableKnees:
-    """GateTable answers the plateaus without evaluating the step; its
+    """BrouwerMap answers the plateaus without evaluating the step; its
     values and slopes must be G, ELL, G.d1 and ELL.d1 bit for bit,
     signed zeros included."""
 
@@ -71,37 +71,37 @@ class TestGateTableKnees:
     def test_values_and_slopes_equal_the_steps(self, x):
         # nor_loop rows: a = NOR(b, c), b and c = PURIFY(a); with zero
         # offsets and z_c = 0 every gate sees exactly x
-        table = build_brouwer(nor_loop()).table
+        table = build_brouwer(nor_loop())
         vals, offsets = [x, x, 0.0], [0.0, 0.0, 0.0]
-        assert self.bits(table.values(vals, offsets, None, range(3))) == self.bits([G(x), ELL(x), ELL(x)])
-        assert self.bits(table.slopes(vals, offsets, None, range(3))) == self.bits(
+        assert self.bits(table.values(vals, offsets, range(3))) == self.bits([G(x), ELL(x), ELL(x)])
+        assert self.bits(table.slopes(vals, offsets, range(3))) == self.bits(
             [G.d1(x), G.d1(x), ELL.d1(x), ELL.d1(x)]
         )
 
     @pytest.mark.parametrize("x", _knee_points())
     def test_map_and_signal_offsets(self, x):
-        table = build_brouwer(nor_loop()).table
+        table = build_brouwer(nor_loop())
         z = [x - 0.25, x / 2.0, x / 2.0]
         for offsets, (first, second) in ((table.map_offsets, (0.25, -0.25)), (table.signal_offsets, (-0.25, 0.25))):
             expected = [G(z[1] + z[2]), ELL(z[0] + first), ELL(z[0] + second)]
-            assert self.bits(table.values(z, offsets, None, range(3))) == self.bits(expected)
+            assert self.bits(table.values(z, offsets, range(3))) == self.bits(expected)
             slope = G.d1(z[1] + z[2])
             expected = [slope, slope, ELL.d1(z[0] + first), ELL.d1(z[0] + second)]
-            assert self.bits(table.slopes(z, offsets, None, range(3))) == self.bits(expected)
+            assert self.bits(table.slopes(z, offsets, range(3))) == self.bits(expected)
 
     def test_plateaus_skip_the_step(self, monkeypatch):
         calls = []
         for name in ("step_eval", "step_d1"):
             original = getattr(smoothstep, name)
             monkeypatch.setattr(smoothstep, name, lambda spec, x, f=original: calls.append(x) or f(spec, x))
-        table = build_brouwer(nor_loop()).table
+        table = build_brouwer(nor_loop())
         zeros = [0.0, 0.0, 0.0]
         # (PURIFY input, NOR input), each at or beyond a knee of its step
         for a, b in ((0.0, 0.0), (5.0 / 12.0, 1.0 / 3.0), (7.0 / 12.0, 2.0 / 3.0), (1.0, 2.0)):
-            table.values([a, b, 0.0], zeros, None, range(3))
-            table.slopes([a, b, 0.0], zeros, None, range(3))
+            table.values([a, b, 0.0], zeros, range(3))
+            table.slopes([a, b, 0.0], zeros, range(3))
         assert calls == []
-        table.values([0.5, 0.5, 0.0], zeros, None, range(3))
+        table.values([0.5, 0.5, 0.0], zeros, range(3))
         assert calls == [0.5, 0.5, 0.5]
 
 
@@ -226,7 +226,7 @@ class TestDecode:
 class TestSolvers:
     def test_damped_converges_on_attracting_loop(self):
         bmap = build_brouwer(purify_loop())
-        result = damped_iteration(bmap, gamma=0.25, steps=2000)
+        result = damped_iteration(bmap, steps=2000)
         assert result.converged
         assert result.residual <= 1.0 / 12.0
         b = decode_brouwer(bmap, result.z)
@@ -234,7 +234,7 @@ class TestSolvers:
 
     def test_damped_trace_ledger_monotone(self):
         bmap = build_brouwer(oracle_attracting())
-        result = damped_iteration(bmap, gamma=0.25, steps=500, trace_every=50)
+        result = damped_iteration(bmap, steps=500)
         totals = [t[2] for t in result.trace]
         assert totals == sorted(totals)
 
@@ -297,13 +297,50 @@ class TestSolvers:
             result = cycle_cut_solve(bmap)
             assert abs(result.z[cut[0]] - root) <= 1e-8
 
+    def test_multi_coordinate_cut_reports_iterations_run(self, monkeypatch):
+        # two disjoint nor_loop copies: one cut coordinate per copy
+        inst = CircuitInstance(
+            nodes=("a", "b", "c", "x", "y", "w"),
+            gates=(purify("a", "b", "c"), nor("b", "c", "a"), purify("x", "y", "w"), nor("y", "w", "x")),
+        )
+        bmap = build_brouwer(inst)
+        assert feedback_cut(bmap)[0] == [0, 3]
+        calls = []
+        original = brouwer._propagate
+        monkeypatch.setattr(brouwer, "_propagate", lambda *args: calls.append(1) or original(*args))
+        result = cycle_cut_solve(bmap)
+        assert result.residual <= 1e-10
+        # one propagation per reduced-map evaluation, plus the final one
+        assert result.iterations == len(calls) - 1 < 20000
+
+    @pytest.mark.parametrize("run", [
+        lambda bmap: damped_iteration(bmap, steps=-1),
+        lambda bmap: find_fixed_point(bmap, damped_steps=-1),
+    ], ids=["damped_iteration", "find_fixed_point"])
+    def test_negative_step_count_rejected(self, run):
+        bmap = build_brouwer(purify_loop())
+        with pytest.raises(ValueError, match="steps"):
+            run(bmap)
+        assert bmap.ledger.total() == 0
+
+    def test_zero_steps_trace_one_row(self, tmp_path):
+        from minmaxlab.brouwer import write_residual_trace
+
+        bmap = build_brouwer(nor_loop())
+        result = damped_iteration(bmap, steps=0)
+        assert result.iterations == 0
+        assert result.trace == [(0, residual(bmap, np.full(3, 0.5)), 1)]
+        out = tmp_path / "trace.csv"
+        write_residual_trace(result, out)
+        assert len(out.read_text().splitlines()) == 2
+
     def test_displacement_and_trace_writer(self, tmp_path):
         from minmaxlab.brouwer import displacement, write_residual_trace
 
         bmap = build_brouwer(purify_loop())
         z = np.full(4, 0.25)
         assert np.array_equal(displacement(bmap, z), eval_F(bmap, z) - z)
-        result = damped_iteration(bmap, steps=300, trace_every=50)
+        result = damped_iteration(bmap, steps=300)
         out = tmp_path / "trace.csv"
         write_residual_trace(result, out)
         lines = out.read_text().splitlines()

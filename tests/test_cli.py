@@ -164,6 +164,29 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"oracle": {"kind": "truth_table", "data": [0.7, 1.2]}},
+            {"oracle": {"kind": "truth_table", "data": ["0", "1"]}},
+            {"oracle": {"kind": "truth_table", "data": [math.inf, 0]}},
+            {"oracle": [0, 1]},
+            {"gates": ["ORACLE"]},
+            None,  # the whole file is a JSON list, not an object
+        ],
+        ids=["fractional-bits", "string-bits", "infinite-bit", "oracle-list", "gate-string", "top-level-list"],
+    )
+    def test_malformed_circuit_file_exits_two(self, tmp_path, capsys, change):
+        payload = json.loads(circuit_to_json(oracle_pair()))
+        circ = tmp_path / "bad.json"
+        circ.write_text(json.dumps([payload] if change is None else {**payload, **change}))
+        points = tmp_path / "z.csv"
+        points.write_text("0.5,0.5\n")
+        assert main(["verify", str(circ), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_wrong_length_exits_two(self, circ_file, tmp_path):
         points = tmp_path / "short.bin"
         np.ones(2).astype("<f8").tofile(points)

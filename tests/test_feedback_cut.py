@@ -40,13 +40,13 @@ def reference_cut(dim, inputs):
 
 def check_against_reference(bmap):
     cut, order = feedback_cut(bmap)
-    assert cut == reference_cut(bmap.dim, bmap.table.inputs)
+    assert cut == reference_cut(bmap.dim, bmap.inputs)
     # order covers every non-cut node once and lists each after its
     # non-cut inputs
     assert sorted(cut + order) == list(range(bmap.dim))
     position = {v: i for i, v in enumerate(order)}
     for w in order:
-        for u in bmap.table.inputs[w]:
+        for u in bmap.inputs[w]:
             assert u in cut or position[u] < position[w]
 
 
@@ -67,7 +67,7 @@ def gate_graphs(draw):
     dim = draw(st.integers(1, 14))
     node = st.integers(0, dim - 1)
     inputs = tuple(tuple(draw(st.lists(node, max_size=3))) for _ in range(dim))
-    return SimpleNamespace(dim=dim, table=SimpleNamespace(inputs=inputs))
+    return SimpleNamespace(dim=dim, inputs=inputs)
 
 
 @settings(max_examples=400, deadline=None, database=None)

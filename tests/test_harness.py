@@ -57,6 +57,14 @@ class TestPgda:
         assert not run.aborted
         assert run.best_gap > 1e-3
 
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize("start", [{"x0": np.array([0.9])}, {"y0": np.array([0.9])}])
+    def test_half_a_start_point_rejected(self, runner, start):
+        toy = BilinearToy()
+        with pytest.raises(ValueError, match="x0 and y0"):
+            runner(toy, steps=5, **start)
+        assert toy.ledger.total() == 0
+
     def test_iterates_stay_in_box(self):
         toy = BilinearToy()
         run = run_pgda(toy, steps=500, lr=0.9, x0=np.array([0.99]), y0=np.array([0.01]))
