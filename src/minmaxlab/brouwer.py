@@ -39,6 +39,15 @@ is reduced along a feedback vertex cut: non-cut coordinates are
 propagated exactly through their gates, and an adaptively damped
 iteration with a bracketing safeguard drives the remaining cut
 coordinate(s) to consistency.
+
+A damped attempt ends once its best residual has gone 500 steps without
+a new best, so its step count is only a cap.  Over every circuit of
+tests/circuits.py with every oracle table and the constant gadget (39
+maps), from the centre, two seeded random starts at seeds 0-9 and the
+grid restart point, converging attempts never went more than 10 steps
+between new bests and failing ones made their last new best by step
+112, so the rule returns the same points and only shortens the attempts
+a later stage wins over.
 """
 
 from __future__ import annotations
@@ -242,27 +251,34 @@ class FixedPointResult:
 
 def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: int = 5000) -> FixedPointResult:
     """z <- (1-gamma) z + gamma F(z) with gamma = 1/4, tracking the best
-    iterate seen.  The trace gets a row every 100 steps, and a last row
-    with the best residual unless it would repeat the row before."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    gamma, target = 0.25, DEFAULTS.brouwer_eps
+    iterate seen.  An attempt ends at a best residual <= 1/12, once the
+    best residual has gone 500 steps without a new best, or after `steps`
+    steps, whichever comes first.  The trace gets a row every 100 steps,
+    and a last row with the best residual unless it would repeat the row
+    before."""
+    try:
+        count = int(steps)
+    except (TypeError, ValueError, OverflowError):
+        count = -1
+    if count != steps or count < 0:
+        raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
+    gamma, target, patience = 0.25, DEFAULTS.brouwer_eps, 500
     z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
     best_z = z.copy()
     fz = eval_F(bmap, z)
     best_res = float(np.max(np.abs(fz - z)))
     trace: List[Tuple[int, float, int]] = [(0, best_res, bmap.ledger.total())]
-    it = 0
-    for it in range(1, steps + 1):
+    it = best_it = 0
+    for it in range(1, count + 1):
         z = (1.0 - gamma) * z + gamma * fz
         fz = eval_F(bmap, z)
         res = float(np.max(np.abs(fz - z)))
         if res < best_res:
-            best_res = res
+            best_res, best_it = res, it
             best_z = z.copy()
         if it % 100 == 0:
             trace.append((it, res, bmap.ledger.total()))
-        if best_res <= target:
+        if best_res <= target or it - best_it >= patience:
             break
     last = (it, best_res, bmap.ledger.total())
     if trace[-1] != last:

@@ -303,16 +303,23 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[BoolOracle]:
     if spec is None:
         return None
     kind = _json_object(spec, "'oracle'").get("kind")
     if kind == "truth_table":
-        return BoolOracle.from_truth_table(spec["data"], ledger=ledger)
+        table = _json_list(spec["data"], "a truth-table oracle's 'data'")
+        return BoolOracle.from_truth_table(table, ledger=ledger)
     if kind == "sperner":
         from . import sperner  # deferred: sperner has no dependency on this module
 
-        data = spec["data"]
+        data = _json_object(spec["data"], "a sperner oracle's 'data'")
         test_map = sperner.get_test_map(data["map"])
         eps = float(data["eps"])
         d = int(data["d"])
@@ -344,7 +351,7 @@ def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> Circui
     payload = _json_object(json.loads(text), "a circuit file")
     ledger = ledger or QueryLedger()
     gates = []
-    for item in payload["gates"]:
+    for item in _json_list(payload["gates"], "'gates'"):
         kind = _json_object(item, "each gate")["type"]
         if kind not in _GATE_ORDER:
             raise ValueError(f"unknown gate type {kind!r}")

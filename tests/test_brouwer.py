@@ -1,10 +1,14 @@
 import math
+from itertools import product
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from minmaxlab import brouwer, smoothstep
 from minmaxlab.brouwer import (
+    BrouwerMap,
+    FixedPointResult,
     build_brouwer,
     cycle_cut_solve,
     damped_iteration,
@@ -25,6 +29,7 @@ from minmaxlab.circuit import (
     nor,
     purify,
 )
+from minmaxlab.config import DEFAULTS
 from minmaxlab.smoothstep import ELL, G
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
@@ -323,6 +328,21 @@ class TestSolvers:
             run(bmap)
         assert bmap.ledger.total() == 0
 
+    @pytest.mark.parametrize("steps", [2.5, math.nan, math.inf, "10"])
+    @pytest.mark.parametrize("run", [
+        lambda bmap, steps: damped_iteration(bmap, steps=steps),
+        lambda bmap, steps: find_fixed_point(bmap, damped_steps=steps),
+    ], ids=["damped_iteration", "find_fixed_point"])
+    def test_non_integral_step_count_rejected(self, run, steps):
+        bmap = build_brouwer(purify_loop())
+        with pytest.raises(ValueError, match="steps"):
+            run(bmap, steps)
+        assert bmap.ledger.total() == 0
+
+    def test_integral_float_step_count_accepted(self):
+        bmap = build_brouwer(nor_loop())
+        assert damped_iteration(bmap, steps=40.0).iterations == 40
+
     def test_zero_steps_trace_one_row(self, tmp_path):
         from minmaxlab.brouwer import write_residual_trace
 
@@ -346,3 +366,79 @@ class TestSolvers:
         lines = out.read_text().splitlines()
         assert lines[0] == "iteration,residual,ledger_total"
         assert len(lines) == len(result.trace) + 1
+
+
+def reference_damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: int = 5000) -> FixedPointResult:
+    """damped_iteration as it was before the 500-step stop rule: every
+    attempt runs the full `steps` unless it reaches the target."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    gamma, target = 0.25, DEFAULTS.brouwer_eps
+    z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
+    best_z = z.copy()
+    fz = eval_F(bmap, z)
+    best_res = float(np.max(np.abs(fz - z)))
+    trace: List[Tuple[int, float, int]] = [(0, best_res, bmap.ledger.total())]
+    it = 0
+    for it in range(1, steps + 1):
+        z = (1.0 - gamma) * z + gamma * fz
+        fz = eval_F(bmap, z)
+        res = float(np.max(np.abs(fz - z)))
+        if res < best_res:
+            best_res = res
+            best_z = z.copy()
+        if it % 100 == 0:
+            trace.append((it, res, bmap.ledger.total()))
+        if best_res <= target:
+            break
+    last = (it, best_res, bmap.ledger.total())
+    if trace[-1] != last:
+        trace.append(last)
+    return FixedPointResult(
+        z=best_z,
+        residual=best_res,
+        method="damped",
+        iterations=it,
+        converged=best_res <= target,
+        trace=trace,
+    )
+
+
+def _every_instance():
+    """Every circuit of tests/circuits.py with every oracle table, and the gadget."""
+    cases = [("nor_loop", nor_loop), ("purify_loop", purify_loop)]
+    for table in product((0, 1), repeat=2):
+        cases.append((f"oracle_pair{table}", lambda table=table: oracle_pair(table)))
+    for maker in (oracle_purify, oracle_attracting):
+        for table in product((0, 1), repeat=4):
+            cases.append((f"{maker.__name__}{table}", lambda maker=maker, table=table: maker(table)))
+    cases.append(("gadget", lambda: build_constant_gadget().instance))
+    return cases
+
+
+class TestEarlyStop:
+    """The 500-step stop rule of damped_iteration only shortens attempts
+    that would not have improved again: against the loop without it, the
+    best point, residual and flag are the same and no more F is spent."""
+
+    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _every_instance()])
+    def test_same_result_as_full_run(self, make):
+        starts = [None]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            starts += [rng.random(len(make().nodes)) for _ in range(2)]
+        for z0 in starts:
+            old, new = build_brouwer(make()), build_brouwer(make())
+            expected = reference_damped_iteration(old, z0=z0)
+            got = damped_iteration(new, z0=z0)
+            assert got.z.tobytes() == expected.z.tobytes()
+            assert got.residual == expected.residual
+            assert got.converged == expected.converged
+            assert new.ledger.count("F_evals") <= old.ledger.count("F_evals")
+
+    def test_stalled_attempt_ends_early(self):
+        bmap = build_brouwer(nor_loop())
+        result = damped_iteration(bmap)
+        assert not result.converged
+        assert result.iterations < 700
+        assert bmap.ledger.count("F_evals") == result.iterations + 1

@@ -173,8 +173,12 @@ class TestVerify:
             {"oracle": [0, 1]},
             {"gates": ["ORACLE"]},
             None,  # the whole file is a JSON list, not an object
+            {"gates": 5},
+            {"oracle": {"kind": "truth_table", "data": 5}},
+            {"oracle": {"kind": "sperner", "data": [1]}},
         ],
-        ids=["fractional-bits", "string-bits", "infinite-bit", "oracle-list", "gate-string", "top-level-list"],
+        ids=["fractional-bits", "string-bits", "infinite-bit", "oracle-list", "gate-string", "top-level-list",
+             "gates-number", "table-number", "sperner-list"],
     )
     def test_malformed_circuit_file_exits_two(self, tmp_path, capsys, change):
         payload = json.loads(circuit_to_json(oracle_pair()))

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
+from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF, find_fixed_point
 from minmaxlab.circuit import (
     CircuitInstance,
     build_constant_gadget,
@@ -26,7 +26,7 @@ from minmaxlab.sperner import (
     verify_sperner_solution,
 )
 
-from circuits import oracle_purify
+from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 from oracles import central_diff, rel_err
 
 
@@ -158,3 +158,24 @@ class TestPinnedQueryCounts:
         run = run_pgda(GdaObjective(inst), 50, seed=0)
         assert run.iterations == 50
         assert inst.ledger.snapshot() == expected
+
+    @pytest.mark.parametrize(
+        "circuit, method, expected",
+        [
+            (nor_loop, "cycle_cut", {"F_evals": 11377}),
+            (purify_loop, "damped", {"F_evals": 12}),
+            (lambda: oracle_pair((1, 1)), "damped", {"F_evals": 2}),
+            (oracle_purify, "grid_restart", {"F_evals": 10861, "L": 4973}),
+            (lambda: oracle_attracting((1, 0, 0, 0)), "damped", {"F_evals": 16, "L": 11}),
+            (lambda: build_constant_gadget().instance, "cycle_cut", {"F_evals": 1631}),
+        ],
+        ids=["nor_loop", "purify_loop", "oracle_pair", "oracle_purify", "oracle_attracting", "gadget"],
+    )
+    def test_find_fixed_point_seed_0(self, circuit, method, expected):
+        # the circuits of the benchmark's fixed-point workload, with the
+        # tables it draws at seed 0; counts measured with the 500-step stop
+        # rule of damped_iteration
+        bmap = build_brouwer(circuit())
+        result = find_fixed_point(bmap, seed=0)
+        assert result.converged and result.method == method
+        assert bmap.ledger.snapshot() == expected
