@@ -71,6 +71,7 @@ from .config import DEFAULTS
 from .ledger import QueryLedger
 from .smoothstep import ELL, G
 
+_FLOAT64 = np.dtype(np.float64)
 _G_PLATEAU = G.plateau()
 _ELL_PLATEAU = ELL.plateau()
 
@@ -175,7 +176,8 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
 
 def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
     """z as a list of floats, each checked to lie in [0, 1] (NaN fails the comparison)."""
-    z = np.asarray(z, dtype=float)
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT64:
+        z = np.asarray(z, dtype=float)
     if z.shape != (bmap.dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({bmap.dim},)")
     zl = z.tolist()
@@ -193,7 +195,7 @@ def eval_F(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     """F(z); at most one oracle query per ORACLE coordinate."""
     zl = _check_domain(bmap, z)
     bmap.ledger.record("F_evals")
-    return np.array(bmap.values(zl, bmap.map_offsets, range(bmap.dim)))
+    return np.array(bmap.values(zl, bmap.map_offsets, range(bmap.dim)), dtype=float)
 
 
 def eval_JF(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
@@ -294,8 +296,11 @@ def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: i
 
 
 def grid_restart_point(bmap: BrouwerMap) -> np.ndarray:
-    """Lowest-residual point of the uniform 21-point-per-axis grid; gated
-    to d <= 3."""
+    """Lowest-residual point of the uniform 21-point-per-axis grid, the
+    first in row-major order on ties; gated to d <= 3.
+
+    The scan stops at the first point with residual 0.0: no residual is
+    lower, so a full scan would return that point too."""
     if bmap.dim > 3:
         raise ValueError("grid restart is gated to d <= 3")
     axis = np.linspace(0.0, 1.0, 21)
@@ -307,6 +312,8 @@ def grid_restart_point(bmap: BrouwerMap) -> np.ndarray:
         if res < best_res:
             best_res = res
             best_z = z
+            if res == 0.0:
+                break
     return best_z
 
 

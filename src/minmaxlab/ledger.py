@@ -3,15 +3,36 @@
 Every black-box oracle in the pipeline (circuit oracle ``L``, grid
 labeling ``lambda``, fixed-point map ``F`` and its Jacobian, objective
 ``f`` and ``grad_f``) charges its calls to a ledger under its own key.
-Ledgers only ever increase, increments are lock-protected so concurrent
-evaluations stay linearizable, and per-worker ledgers merge by
-coordinate-wise sum.
+Counts are whole numbers >= 0 and only ever increase, and per-worker
+ledgers merge by coordinate-wise sum.
+
+Each thread records into its own shard, a dict that only that thread
+writes, so ``record`` takes no lock; a shard is created under the lock
+the first time a thread records, and outlives the thread.  Reads take
+the lock only to list the shards, then sum copies of them (``dict(shard)``
+copies in one interpreter step), so a reader sees every count
+non-decreasing.  A ledger only one thread has written has one shard,
+and ``count`` on it is one dict lookup.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
+
+_get_ident = threading.get_ident
+
+
+def _whole(value, what: str) -> int:
+    """value as an int; it must be a whole number >= 0 (an int, a numpy
+    int, a bool or an integral float)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a NaN or an infinity
+        n = None
+    if n is None or n != value or n < 0:
+        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
+    return n
 
 
 class QueryLedger:
@@ -19,32 +40,53 @@ class QueryLedger:
 
     def __init__(self, counts: Optional[Mapping[str, int]] = None) -> None:
         self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
+        shard: Dict[str, int] = {}
         if counts:
             for key, value in counts.items():
-                if value < 0:
-                    raise ValueError(f"negative count for {key!r}")
-                self._counts[key] = int(value)
+                shard[key] = _whole(value, f"count for {key!r}")
+        self._shards: Dict[int, Dict[str, int]] = {_get_ident(): shard}
+        self._only: Optional[Dict[str, int]] = shard  # the shard while there is just one
+
+    def _new_shard(self) -> Dict[str, int]:
+        with self._lock:
+            # readers that still see _only see it before the new shard exists
+            self._only = None
+            return self._shards.setdefault(_get_ident(), {})
 
     def record(self, name: str, amount: int = 1) -> None:
-        """Charge `amount` queries to counter `name` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError("ledger increments must be nonnegative")
+        """Charge `amount` queries to counter `name` (a whole number >= 0)."""
+        if type(amount) is not int or amount < 0:
+            amount = _whole(amount, "a ledger increment")
+        try:
+            shard = self._shards[_get_ident()]
+        except KeyError:
+            shard = self._new_shard()
+        shard[name] = shard.get(name, 0) + amount
+
+    def _listed(self) -> List[Dict[str, int]]:
+        only = self._only
+        if only is not None:
+            return [only]
         with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + amount
+            return list(self._shards.values())
 
     def count(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
+        only = self._only
+        if only is not None:
+            return only.get(name, 0)
+        return sum(shard.get(name, 0) for shard in self._listed())
 
     def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self.snapshot().values())
 
     def snapshot(self) -> Dict[str, int]:
-        """Point-in-time copy of all counters."""
-        with self._lock:
-            return dict(self._counts)
+        """Copy of all counters: the sum of one copy of each shard."""
+        shards = self._listed()
+        out = dict(shards[0])
+        for shard in shards[1:]:
+            for key, value in dict(shard).items():
+                out[key] = out.get(key, 0) + value
+        return out
 
     def merge(self, other: "QueryLedger") -> "QueryLedger":
         """Coordinate-wise sum with another ledger (e.g. per-worker merge)."""

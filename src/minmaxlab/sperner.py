@@ -18,11 +18,12 @@ any solution cluster decodes to an approximate fixed point with residual
 at most eps.
 
 SpernerInstance.query checks in one walk that a point has d integral
-coordinates in [1..M] (a non-integral one raises, it is not truncated)
-before charging the ledger, and accepts only labels equal to -1 or +1.
-The induced labeling hands F an ndarray and compares on Python floats
-with the operations of the float64 formula above, so the labels are the
-same bits.
+coordinates in [1..M] (a non-integral one raises, it is not truncated;
+a tuple of in-range ints passes as it is) before charging the ledger,
+and accepts only labels equal to -1 or +1.  The induced labeling charges
+its F query itself, hands F an ndarray, requires d finite values back,
+and compares on Python floats with the operations of the float64 formula
+above, so the labels are the same bits.
 
 The exhaustive search and export_labeling_grid share one walk,
 _label_grid, that queries every grid point in row-major order and keeps
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +49,14 @@ GridPoint = Tuple[int, ...]
 
 def _grid_point(point: Sequence[int], M: int, d: int) -> GridPoint:
     """point as a tuple of ints, checked in one walk to be d integral
-    coordinates (ints, numpy ints, bools or integral floats) in [1..M]."""
+    coordinates (ints, numpy ints, bools or integral floats) in [1..M].
+    A tuple of d ints in range, as the grid walks make, is returned as it is."""
+    if type(point) is tuple and len(point) == d:
+        for t in point:
+            if type(t) is not int or not 1 <= t <= M:
+                break
+        else:
+            return point
     coords = []
     try:
         for t in point:
@@ -61,6 +69,10 @@ def _grid_point(point: Sequence[int], M: int, d: int) -> GridPoint:
     if len(coords) != d:
         raise ValueError(f"point has {len(coords)} coordinates, expected {d}")
     return tuple(coords)
+
+
+def _not_a_sign(label) -> NoReturn:
+    raise ValueError(f"labeling returned {label!r}, expected a sign -1 or +1")
 
 
 @dataclass
@@ -84,17 +96,10 @@ class SpernerInstance:
         [1..M]; the point is checked before the ledger is charged."""
         coords = _grid_point(point, self.M, self.d)
         self.ledger.record(self.name)
-        labels = []
-        for l in self.labeling(coords):
-            if l == 1:
-                labels.append(1)
-            elif l == -1:
-                labels.append(-1)
-            else:
-                raise ValueError(f"labeling returned {l!r}, expected a sign -1 or +1")
+        labels = tuple([1 if l == 1 else -1 if l == -1 else _not_a_sign(l) for l in self.labeling(coords)])
         if len(labels) != self.d:
             raise ValueError(f"labeling returned {len(labels)} signs, expected {self.d}")
-        return tuple(labels)
+        return labels
 
 
 @dataclass(frozen=True)
@@ -166,13 +171,15 @@ def grid_to_cube(point: Sequence[int], M: int) -> np.ndarray:
 
 
 def make_brouwer_labeling(
-    F: Callable[[np.ndarray], np.ndarray], d: int, eps: float
+    F: Callable[[np.ndarray], np.ndarray], d: int, eps: float, ledger: Optional[QueryLedger] = None
 ) -> Tuple[Callable[[GridPoint], Tuple[int, ...]], int]:
-    """Raw (uncounted) labeling induced by F at accuracy eps; returns (fn, M).
+    """Labeling induced by F at accuracy eps; returns (fn, M).  With a
+    ledger, each call of fn charges it one "F" query, before F runs.
 
     fn takes points of [1..M]^d with int coordinates, as SpernerInstance.query
-    hands them on.  F gets phi(p) as an ndarray; the comparison runs on
-    Python floats with the operations, and their order, of
+    hands them on.  F gets phi(p) as an ndarray and must return d finite
+    values (ValueError otherwise); the comparison runs on Python floats with
+    the operations, and their order, of
     (1 - eps/2) * F(z) + (eps/2) * 0.5 > z on float64 arrays, so the labels
     are those of that formula."""
     if not (0.0 < eps < 1.0):
@@ -180,11 +187,19 @@ def make_brouwer_labeling(
     M = math.ceil(1.0 + 3.0 / eps)
     scale, shift = float(1.0 - eps / 2.0), float((eps / 2.0) * 0.5)
     phi = [(t - 1.0) / (M - 1.0) for t in range(M + 1)]  # phi[t], the grid_to_cube value
+    shape = (d,)
 
     def labeling(point: GridPoint) -> Tuple[int, ...]:
+        if ledger is not None:
+            ledger.record("F")
         z = [phi[t] for t in point]
-        fz = np.asarray(F(np.array(z)), dtype=float).tolist()
-        return tuple([1 if scale * fz[i] + shift > z[i] else -1 for i in range(d)])
+        fz = np.asarray(F(np.array(z, dtype=float)), dtype=float)
+        if fz.shape != shape:
+            raise ValueError(f"F returned shape {fz.shape} at {point}, expected {shape}")
+        fz = fz.tolist()
+        if not all(map(math.isfinite, fz)):
+            raise ValueError(f"F returned a non-finite value at {point}: {fz}")
+        return tuple([1 if scale * f + shift > x else -1 for f, x in zip(fz, z)])
 
     return labeling, M
 
@@ -197,13 +212,8 @@ def brouwer_to_labeling(
 ) -> SpernerInstance:
     """Counted labeling instance; each lambda query charges one F query too."""
     ledger = ledger or QueryLedger()
-    raw, M = make_brouwer_labeling(F, d, eps)
-
-    def counted(point: GridPoint) -> Tuple[int, ...]:
-        ledger.record("F")
-        return raw(point)
-
-    return SpernerInstance(M=M, d=d, labeling=counted, ledger=ledger)
+    labeling, M = make_brouwer_labeling(F, d, eps, ledger)
+    return SpernerInstance(M=M, d=d, labeling=labeling, ledger=ledger)
 
 
 def decode_sperner_to_fixed_point(sol: SpernerSolution, M: int) -> np.ndarray:

@@ -442,3 +442,39 @@ class TestEarlyStop:
         assert not result.converged
         assert result.iterations < 700
         assert bmap.ledger.count("F_evals") == result.iterations + 1
+
+
+def reference_grid_restart_point(bmap: BrouwerMap) -> np.ndarray:
+    """grid_restart_point as it was before its stop at an exact fixed
+    point: every one of the 21^d grid points is evaluated."""
+    if bmap.dim > 3:
+        raise ValueError("grid restart is gated to d <= 3")
+    axis = np.linspace(0.0, 1.0, 21)
+    best_z = None
+    best_res = np.inf
+    for combo in product(axis, repeat=bmap.dim):
+        z = np.array(combo)
+        res = residual(bmap, z)
+        if res < best_res:
+            best_res = res
+            best_z = z
+    return best_z
+
+
+class TestGridRestartStop:
+    """The grid restart stops at its first residual-0.0 point, which a full
+    scan also returns, since it keeps the first strict minimum."""
+
+    @pytest.mark.parametrize(
+        "make", [pytest.param(make, id=name) for name, make in _every_instance() if len(make().nodes) <= 3]
+    )
+    def test_same_point_as_full_scan(self, make):
+        old, new = build_brouwer(make()), build_brouwer(make())
+        expected = reference_grid_restart_point(old)
+        got = grid_restart_point(new)
+        assert got.tobytes() == expected.tobytes()
+        grid = [np.array(combo) for combo in product(np.linspace(0.0, 1.0, 21), repeat=new.dim)]
+        index = next(i for i, z in enumerate(grid) if z.tobytes() == got.tobytes())
+        exact = residual(build_brouwer(make()), got) == 0.0
+        assert new.ledger.count("F_evals") == (index + 1 if exact else len(grid))
+        assert old.ledger.count("F_evals") == len(grid)

@@ -61,6 +61,107 @@ class TestLedger:
             t.join()
         assert ledger.count("L") == 8000
 
+    def test_reader_sees_monotone_counts_while_shards_fill(self):
+        # 50,000 records per writer: with 2,000 or 20,000, writers sharing
+        # one dict without a lock mostly lost no update
+        import sys
+        import threading
+
+        rounds = 50000
+        ledger = QueryLedger({"L": 5})
+        start = threading.Barrier(5)
+        reads = []
+
+        def writer():
+            start.wait(timeout=10)
+            for _ in range(rounds):
+                ledger.record("L")
+                ledger.record("F", 2)
+
+        def reader():
+            start.wait(timeout=10)
+            while any(t.is_alive() for t in writers):
+                count, total, snap = ledger.count("L"), ledger.total(), ledger.snapshot()
+                reads.append((count, total, snap["L"], snap.get("F", 0), sum(snap.values())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=writer) for _ in range(4)]
+            watcher = threading.Thread(target=reader)
+            for t in writers + [watcher]:
+                t.start()
+            for t in writers + [watcher]:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reads) > 1
+        for count, total, snap_l, _, snap_total in reads:  # read in this order, so none exceeds the next
+            assert 5 <= count <= snap_l and total <= snap_total
+        for before, after in zip(reads, reads[1:]):
+            assert all(a <= b for a, b in zip(before, after))
+        assert ledger.snapshot() == {"L": 5 + 4 * rounds, "F": 8 * rounds}
+        assert ledger.count("L") == 5 + 4 * rounds and ledger.total() == 5 + 12 * rounds
+
+    def test_counts_of_joined_threads_persist(self):
+        import threading
+
+        ledger = QueryLedger()
+        ledger.record("L")
+        for round_ in range(3):
+            threads = [threading.Thread(target=ledger.record, args=("L", 10)) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert ledger.count("L") == 1 + 30 * (round_ + 1)
+        assert ledger.snapshot() == {"L": 91}
+
+    def test_merge_of_multi_shard_ledgers(self):
+        import threading
+
+        def sharded(parts):
+            ledger = QueryLedger(parts[0])
+            for counts in parts[1:]:
+                def work(counts=counts):
+                    for key, value in counts.items():
+                        ledger.record(key, value)
+
+                t = threading.Thread(target=work)
+                t.start()
+                t.join(timeout=10)
+                assert not t.is_alive()
+            return ledger
+
+        a = sharded([{"L": 2}, {"L": 3, "F": 1}, {"lambda": 4}])
+        b = sharded([{"F": 5}, {"L": 7, "JF_evals": 1}])
+        assert a.snapshot() == {"L": 5, "F": 1, "lambda": 4}
+        assert a.merge(b).snapshot() == {"L": 12, "F": 6, "lambda": 4, "JF_evals": 1}
+        assert b.merge(a).snapshot() == a.merge(b).snapshot()
+
+    @pytest.mark.parametrize("amount", [0.5, -1, -2.0, float("nan"), float("inf"), float("-inf"), "1", None, 1j])
+    def test_rejects_non_whole_increments_before_counting(self, amount):
+        ledger = QueryLedger({"L": 1})
+        with pytest.raises(ValueError):
+            ledger.record("L", amount)
+        with pytest.raises(ValueError):
+            QueryLedger({"L": amount})
+        assert ledger.snapshot() == {"L": 1}
+
+    def test_whole_counts_stored_as_int(self):
+        import numpy as np
+
+        ledger = QueryLedger({"L": 2.0, "F": np.int64(3)})
+        ledger.record("L", 4.0)
+        ledger.record("F", np.uint8(1))
+        ledger.record("lambda", True)
+        ledger.record("lambda", 0)
+        snap = ledger.snapshot()
+        assert snap == {"L": 6, "F": 4, "lambda": 1}
+        assert all(type(v) is int for v in snap.values())
+
 
 class TestValidate:
     def test_gadget_core_is_well_formed(self):

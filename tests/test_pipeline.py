@@ -1,6 +1,7 @@
 """Whole-chain integration: grid labeling -> circuit oracle -> smooth map
 -> min-max objective, with query accounting through every layer."""
 
+import hashlib
 from functools import partial
 
 import numpy as np
@@ -19,6 +20,7 @@ from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_gr
 from minmaxlab.harness import GdaObjective, run_pgda
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.sperner import (
+    _label_grid,
     brouwer_to_labeling,
     find_sperner_solution_exhaustive,
     get_test_map,
@@ -165,7 +167,7 @@ class TestPinnedQueryCounts:
             (nor_loop, "cycle_cut", {"F_evals": 11377}),
             (purify_loop, "damped", {"F_evals": 12}),
             (lambda: oracle_pair((1, 1)), "damped", {"F_evals": 2}),
-            (oracle_purify, "grid_restart", {"F_evals": 10861, "L": 4973}),
+            (oracle_purify, "grid_restart", {"F_evals": 1601, "L": 858}),
             (lambda: oracle_attracting((1, 0, 0, 0)), "damped", {"F_evals": 16, "L": 11}),
             (lambda: build_constant_gadget().instance, "cycle_cut", {"F_evals": 1631}),
         ],
@@ -174,8 +176,31 @@ class TestPinnedQueryCounts:
     def test_find_fixed_point_seed_0(self, circuit, method, expected):
         # the circuits of the benchmark's fixed-point workload, with the
         # tables it draws at seed 0; counts measured with the 500-step stop
-        # rule of damped_iteration
+        # rule of damped_iteration and the grid restart's stop at its first
+        # exact fixed point (the first grid point, on oracle_purify)
         bmap = build_brouwer(circuit())
         result = find_fixed_point(bmap, seed=0)
         assert result.converged and result.method == method
         assert bmap.ledger.snapshot() == expected
+
+
+class TestPinnedLabels:
+    """Every label of the fixed-point benchmark's two Sperner grids (eps
+    0.07, so M = 44), as the sha256 of their packed codes, measured before
+    the labeling path was trimmed; a change that flips one label shows here."""
+
+    def test_oracle_purify_map(self):
+        bmap = build_brouwer(oracle_purify())
+        inst = brouwer_to_labeling(partial(eval_F, bmap), bmap.dim, 0.07)
+        codes = bytes(_label_grid(inst))
+        assert inst.M == 44 and len(codes) == 44**3
+        assert hashlib.sha256(codes).hexdigest() == "fc0e12649e64ea40025fa41b1f43bdefacb46d7ef2a94be3a876504d73d0c4a1"
+        assert inst.ledger.snapshot() == {"lambda": 44**3, "F": 44**3}
+        assert bmap.ledger.snapshot() == {"F_evals": 44**3, "L": 34496}
+
+    def test_smoothed_rotation(self):
+        fmap = get_test_map("smoothed_rotation")
+        inst = brouwer_to_labeling(fmap.fn, fmap.d, 0.07)
+        codes = bytes(_label_grid(inst))
+        assert len(codes) == 44**2
+        assert hashlib.sha256(codes).hexdigest() == "12d227270fff522768e37dc7d8e5614167d355d1e67e9d1a9f19c9f48d9d6f95"

@@ -125,6 +125,30 @@ class TestReduction:
         _, M = make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.2)
         assert M == 16
 
+    @pytest.mark.parametrize(
+        "output",
+        [
+            [0.5, 0.5],
+            [0.5, 0.5, 0.5, 0.5],
+            [0.5, math.nan, 0.5],
+            [math.inf, 0.5, 0.5],
+            [0.5, 0.5, -math.inf],
+            [[0.5], [0.5], [0.5]],
+            0.5,
+        ],
+        ids=["short", "long", "nan", "inf", "minus-inf", "column", "scalar"],
+    )
+    def test_map_output_must_be_d_finite_values(self, output):
+        def fmap(z):
+            return np.array(output)
+
+        labeling, M = make_brouwer_labeling(fmap, 3, 0.5)
+        with pytest.raises(ValueError):
+            labeling((2, 3, 4))
+        inst = brouwer_to_labeling(fmap, 3, 0.5)
+        with pytest.raises(ValueError):
+            inst.query((2, 3, 4))
+
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.0)
