@@ -43,13 +43,12 @@ class BoolOracle:
     """Black-box Boolean function with a query ledger.
 
     `fn` is the raw uncounted function; all counted access goes through
-    :meth:`query`, which charges exactly one unit to ``ledger[name]`` and
+    :meth:`query`, which charges exactly one unit to ``ledger["L"]`` and
     validates that the output is exactly 0 or 1.
     """
 
     arity: int
     fn: Callable[[Bits], int]
-    name: str = "L"
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
     def __post_init__(self) -> None:
@@ -67,19 +66,14 @@ class BoolOracle:
                 raise ValueError(f"oracle input must be bits 0 or 1, got {b!r}")
         if len(vertex) != self.arity:
             raise ValueError(f"expected {self.arity} bits, got {len(vertex)}")
-        self.ledger.record(self.name)
+        self.ledger.record("L")
         out = self.fn(tuple(vertex))
         if out not in (0, 1):
             raise ValueError(f"oracle output must be 0 or 1, got {out!r}")
         return int(out)
 
     @classmethod
-    def from_truth_table(
-        cls,
-        table: Sequence[int],
-        name: str = "L",
-        ledger: Optional[QueryLedger] = None,
-    ) -> "BoolOracle":
+    def from_truth_table(cls, table: Sequence[int], ledger: Optional[QueryLedger] = None) -> "BoolOracle":
         """Oracle backed by a table indexed big-endian (first bit most
         significant); table length must be a power of two, arity <= 20,
         and each entry must equal 0 or 1, the rule query applies to bits."""
@@ -100,7 +94,7 @@ class BoolOracle:
                 idx = (idx << 1) | b
             return vals[idx]
 
-        return cls(arity=arity, fn=fn, name=name, ledger=ledger or QueryLedger())
+        return cls(arity=arity, fn=fn, ledger=ledger or QueryLedger())
 
 
 def _checked_vertex(x: Sequence[float], arity: int) -> Optional[Bits]:

@@ -67,7 +67,7 @@ from .circuit import (
     CircuitInstance,
     validate_instance,
 )
-from .config import DEFAULTS
+from .config import DEFAULTS, whole_number
 from .ledger import QueryLedger
 from .smoothstep import ELL, G
 
@@ -258,12 +258,7 @@ def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: i
     steps, whichever comes first.  The trace gets a row every 100 steps,
     and a last row with the best residual unless it would repeat the row
     before."""
-    try:
-        count = int(steps)
-    except (TypeError, ValueError, OverflowError):
-        count = -1
-    if count != steps or count < 0:
-        raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
+    count = whole_number(steps, "steps")
     gamma, target, patience = 0.25, DEFAULTS.brouwer_eps, 500
     z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
     best_z = z.copy()

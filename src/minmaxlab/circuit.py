@@ -17,21 +17,27 @@ satisfied when:
 
 The constant gadget built here pins one node to 0 and one to 1 in every
 satisfying assignment, which is how hardwired bits are fed to ORACLE
-gates.  A grid labeling lambda: [M]^d -> {-1,+1}^d can be wrapped as an
-arity-(M*d + d) oracle: the trailing d bits one-hot-select an output
-coordinate, the leading M*d bits encode the grid point blockwise in
-unary, and malformed selectors return 0 without consuming any lambda
-query.
+gates.  A labeling instance (sperner.SpernerInstance, lambda: [M]^d ->
+{-1,+1}^d) can be wrapped as an arity-(M*d + d) oracle: the trailing d
+bits one-hot-select an output coordinate, the leading M*d bits encode
+the grid point blockwise in unary, each labeling query goes through
+SpernerInstance.query (which checks it and charges ``lambda``), and
+malformed selectors return 0 without consuming any lambda query.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from numbers import Real
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boolinterp import BoolOracle
+from .config import whole_number
 from .ledger import QueryLedger
+
+if TYPE_CHECKING:
+    from .sperner import SpernerInstance
 
 #: three-valued "unknown"; assignments map nodes to 0, 1, or BOT.
 BOT = None
@@ -230,40 +236,26 @@ def unary_decode(bits: Sequence[int], width: int) -> int:
     return min(max(count, 1), width)
 
 
-def build_oracle_from_labeling(
-    labeling: Callable[[Tuple[int, ...]], Sequence[int]],
-    M: int,
-    d: int,
-    ledger: Optional[QueryLedger] = None,
-    name: str = "L",
-    labeling_name: str = "lambda",
-) -> BoolOracle:
-    """Wrap a grid labeling as a Boolean oracle of arity M*d + d.
+def build_oracle_from_labeling(inst: SpernerInstance) -> BoolOracle:
+    """Wrap a labeling instance as a Boolean oracle of arity M*d + d that
+    charges ``inst.ledger``.
 
     Input layout: (z, t) with z the M*d unary-coded grid point and t the
     d selector bits.  If t is one-hot at position i, the oracle decodes z
-    to a point in [M]^d, makes exactly one labeling query, and returns 1
-    iff coordinate i of the label vector is +1.  Any other t returns 0
-    with zero labeling queries.
+    to a point in [M]^d, makes exactly one counted ``inst.query`` (which
+    checks the labels), and returns 1 iff coordinate i of the label
+    vector is +1.  Any other t returns 0 with zero labeling queries.
     """
-    if M < 1 or d < 1:
-        raise ValueError("need M >= 1 and d >= 1")
-    ledger = ledger or QueryLedger()
-    arity = M * d + d
+    M, d = inst.M, inst.d
 
     def fn(bits: Tuple[int, ...]) -> int:
         selector = bits[M * d:]
         if sum(selector) != 1:
             return 0
-        i = selector.index(1)
-        point = tuple(
-            unary_decode(bits[block * M:(block + 1) * M], M) for block in range(d)
-        )
-        ledger.record(labeling_name)
-        labels = labeling(point)
-        return 1 if labels[i] == 1 else 0
+        point = tuple(unary_decode(bits[block * M:(block + 1) * M], M) for block in range(d))
+        return 1 if inst.query(point)[selector.index(1)] == 1 else 0
 
-    return BoolOracle(arity=arity, fn=fn, name=name, ledger=ledger)
+    return BoolOracle(arity=M * d + d, fn=fn, ledger=inst.ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +273,11 @@ def circuit_to_json(inst: CircuitInstance) -> str:
     each type.  Node order is preserved verbatim: it is semantic, since
     it fixes the coordinate order of every point file built against the
     instance.  The oracle field carries the stored oracle description
-    (``oracle_spec``) or null.
+    (``oracle_spec``), or null when there is no oracle; an oracle without
+    a description raises ValueError, since null would read back as none.
     """
+    if inst.oracle is not None and inst.oracle_spec is None:
+        raise ValueError("the instance has an oracle but no oracle_spec to write")
     gates_json = []
     for gate in _canonical_gates(inst.gates):
         if gate.kind == PURIFY:
@@ -321,13 +316,17 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
 
         data = _json_object(spec["data"], "a sperner oracle's 'data'")
         test_map = sperner.get_test_map(data["map"])
-        eps = float(data["eps"])
-        d = int(data["d"])
-        M = int(data["M"])
+        d = whole_number(data["d"], "a sperner oracle's 'd'", 1)
+        M = whole_number(data["M"], "a sperner oracle's 'M'", 1)
+        eps = data["eps"]
+        if not isinstance(eps, Real):
+            raise ValueError(f"a sperner oracle's 'eps' must be a number, got {eps!r}")
+        if d != test_map.d:
+            raise ValueError(f"stored d={d} but map {test_map.name!r} has d={test_map.d}")
         labeling, derived_m = sperner.make_brouwer_labeling(test_map.fn, d, eps)
         if derived_m != M:
             raise ValueError(f"stored M={M} but eps={eps} derives M={derived_m}")
-        return build_oracle_from_labeling(labeling, M, d, ledger=ledger)
+        return build_oracle_from_labeling(sperner.SpernerInstance(M, d, labeling, ledger))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 

@@ -1,8 +1,21 @@
-"""Shared numeric configuration: one place for tolerances and defaults."""
+"""Shared numeric configuration: one place for tolerances and defaults,
+and the one whole-number rule every counted entry point applies."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+def whole_number(value, what: str, minimum: int = 0) -> int:
+    """value as an int; it must be a whole number >= minimum (an int, a
+    numpy int, a bool or an integral float), else ValueError naming `what`."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a NaN or an infinity
+        n = None
+    if n is None or n != value or n < minimum:
+        raise ValueError(f"{what} must be a whole number >= {minimum}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -66,7 +67,7 @@ from .circuit import (
     check_assignment,
     circuit_from_json,
 )
-from .config import DEFAULTS
+from .config import DEFAULTS, whole_number
 from .ledger import QueryLedger
 from .smoothstep import NamedStep, named_step
 
@@ -117,10 +118,9 @@ def derive_parameters(
     mode takes user-supplied finite positive delta and eps and a positive
     even n.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie in (0,1)")
+    m = whole_number(m, "m", 1)
+    if not (isinstance(rho, Real) and 0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0,1), got {rho!r}")
     if mode == "paper":
         d_val = rho**4 / (400.0 * m**2 * math.exp(26.0))
         n_float = math.ceil(2.0**13 * math.exp(13.0) * m**4 / d_val**3)
@@ -140,19 +140,16 @@ def derive_parameters(
     if mode == "scaled":
         if delta is None or n is None or eps is None:
             raise ValueError("scaled mode needs delta, n, and eps")
-        if not (0 < delta < math.inf and 0 < eps < math.inf):  # NaN fails
-            raise ValueError(f"delta and eps must be finite and positive, got {delta!r}, {eps!r}")
-        try:
-            even = int(n) == n and n >= 2 and n % 2 == 0
-        except (OverflowError, ValueError):  # int() of an infinite or NaN n
-            even = False
-        if not even:
+        if not all(isinstance(v, Real) and 0 < v < math.inf for v in (delta, eps)):  # NaN fails
+            raise ValueError(f"delta and eps must be finite positive numbers, got {delta!r}, {eps!r}")
+        n = whole_number(n, "n", 2)
+        if n % 2:
             raise ValueError(f"n must be a positive even integer, got {n!r}")
         return GdaParams(
             m=m,
             rho=rho,
             delta=float(delta),
-            n=int(n),
+            n=n,
             eps=float(eps),
             mode="scaled",
             feasible=True,
@@ -506,7 +503,7 @@ def load_gda_descriptor(path: str | Path) -> GdaInstance:
     circuit = circuit_from_json(circ_text)
     params = derive_parameters(
         m=len(circuit.nodes),
-        rho=float(desc.get("rho", DEFAULTS.default_rho)),
+        rho=desc.get("rho", DEFAULTS.default_rho),
         mode=desc.get("mode", "scaled"),
         delta=desc.get("delta"),
         n=desc.get("n"),

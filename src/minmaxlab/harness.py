@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, whole_number
 from .gda import GdaInstance, endpoint_gap, eval_f, eval_grad_f
 from .ledger import QueryLedger
 
@@ -114,6 +114,14 @@ def _start_point(obj, seed: Optional[int], x0, y0) -> Tuple[np.ndarray, np.ndarr
     return rng.random(obj.dim_x), rng.random(obj.dim_y)
 
 
+def _projected_step(x, y, gx, gy, lr: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(x, y) moved by lr down gx and up gy, clipped to the box; None when
+    the gradient is not finite."""
+    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+        return None
+    return np.clip(x - lr * gx, 0.0, 1.0), np.clip(y + lr * gy, 0.0, 1.0)
+
+
 def _run_gda_family(
     obj,
     steps: int,
@@ -124,14 +132,12 @@ def _run_gda_family(
     gap_every: int,
     extragradient: bool,
 ) -> SolverRun:
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = whole_number(steps, "steps", 1)
     if lr is None:
         lr = 0.1 / math.sqrt(steps)
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError("step size must be finite and >= 0")
-    if gap_every < 1:
-        raise ValueError("gap_every must be >= 1")
+    gap_every = whole_number(gap_every, "gap_every", 1)
     x, y = _start_point(obj, seed, x0, y0)
     best_gap = math.inf
     best_point = (x.copy(), y.copy())
@@ -141,27 +147,20 @@ def _run_gda_family(
     algorithm = "extragradient" if extragradient else "pgda"
     for t in range(steps):
         gx, gy = obj.grad(x, y)
-        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+        moved = _projected_step(x, y, gx, gy, lr)
+        if moved is not None:
+            gap = endpoint_gap(x, y, gx, gy)
+            if gap < best_gap:
+                best_gap = gap
+                best_point = (x.copy(), y.copy())
+            if t % gap_every == 0:
+                curve.append((t, gap))
+            if extragradient:  # step from (x, y) again, along the gradient at the extrapolated point
+                moved = _projected_step(x, y, *obj.grad(*moved), lr)
+        if moved is None:
             aborted, diagnostic = True, f"non-finite gradient at iteration {t}"
             break
-        gap = endpoint_gap(x, y, gx, gy)
-        if gap < best_gap:
-            best_gap = gap
-            best_point = (x.copy(), y.copy())
-        if t % gap_every == 0:
-            curve.append((t, gap))
-        if extragradient:
-            xm = np.clip(x - lr * gx, 0.0, 1.0)
-            ym = np.clip(y + lr * gy, 0.0, 1.0)
-            gxm, gym = obj.grad(xm, ym)
-            if not (np.all(np.isfinite(gxm)) and np.all(np.isfinite(gym))):
-                aborted, diagnostic = True, f"non-finite gradient at iteration {t}"
-                break
-            x = np.clip(x - lr * gxm, 0.0, 1.0)
-            y = np.clip(y + lr * gym, 0.0, 1.0)
-        else:
-            x = np.clip(x - lr * gx, 0.0, 1.0)
-            y = np.clip(y + lr * gy, 0.0, 1.0)
+        x, y = moved
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             aborted, diagnostic = True, f"non-finite iterate at iteration {t}"
             break
@@ -209,8 +208,7 @@ def run_extragradient(
 
 def grid_search_stationary(obj, resolution: int) -> Tuple[np.ndarray, np.ndarray, float]:
     """Exhaustive stationarity scan of the uniform grid; budget-gated."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = whole_number(resolution, "resolution", 2)
     total_dim = obj.dim_x + obj.dim_y
     if resolution**total_dim > DEFAULTS.grid_search_budget:
         raise ValueError(

@@ -1,8 +1,11 @@
 """Query ledger: named, monotone counters for oracle-call accounting.
 
-Every black-box oracle in the pipeline (circuit oracle ``L``, grid
-labeling ``lambda``, fixed-point map ``F`` and its Jacobian, objective
-``f`` and ``grad_f``) charges its calls to a ledger under its own key.
+Every black-box oracle in the pipeline charges its calls to a ledger
+under one fixed key, never a setting: the circuit oracle (BoolOracle)
+under ``L``, the grid labeling (SpernerInstance) under ``lambda``, the
+map an induced labeling reads under ``F``, the cube map and its
+Jacobian under ``F_evals`` and ``JF_evals``, and the objective and its
+gradient under ``f_evals`` and ``grad_f_evals``.
 Counts are whole numbers >= 0 and only ever increase, and per-worker
 ledgers merge by coordinate-wise sum.
 
@@ -20,19 +23,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Mapping, Optional
 
+from .config import whole_number
+
 _get_ident = threading.get_ident
-
-
-def _whole(value, what: str) -> int:
-    """value as an int; it must be a whole number >= 0 (an int, a numpy
-    int, a bool or an integral float)."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a NaN or an infinity
-        n = None
-    if n is None or n != value or n < 0:
-        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
-    return n
 
 
 class QueryLedger:
@@ -43,7 +36,7 @@ class QueryLedger:
         shard: Dict[str, int] = {}
         if counts:
             for key, value in counts.items():
-                shard[key] = _whole(value, f"count for {key!r}")
+                shard[key] = whole_number(value, f"count for {key!r}")
         self._shards: Dict[int, Dict[str, int]] = {_get_ident(): shard}
         self._only: Optional[Dict[str, int]] = shard  # the shard while there is just one
 
@@ -56,7 +49,7 @@ class QueryLedger:
     def record(self, name: str, amount: int = 1) -> None:
         """Charge `amount` queries to counter `name` (a whole number >= 0)."""
         if type(amount) is not int or amount < 0:
-            amount = _whole(amount, "a ledger increment")
+            amount = whole_number(amount, "a ledger increment")
         try:
             shard = self._shards[_get_ident()]
         except KeyError:

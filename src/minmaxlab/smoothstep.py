@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
+from .config import whole_number
+
 
 @dataclass(frozen=True)
 class StepSpec:
@@ -185,8 +187,7 @@ def named_step(kind: str, m: int | None = None) -> NamedStep:
     if kind == "alpha":
         return NamedStep("alpha", StepSpec(1.0 / 6.0, 1.0 / 3.0), 1.0, -1.0)
     if kind == "energy":
-        if m is None or int(m) != m or m < 1:
-            raise ValueError(f"energy step needs an integer m >= 1, got {m!r}")
+        m = whole_number(m, "the energy step's m", 1)
         return NamedStep(f"energy({m})", StepSpec(3.0 * m, 3.0 * m + 1.0), 0.0, 1.0)
     raise ValueError(f"unknown step kind {kind!r}")
 

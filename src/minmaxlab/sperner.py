@@ -41,34 +41,26 @@ from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, whole_number
 from .ledger import QueryLedger
 
 GridPoint = Tuple[int, ...]
 
 
 def _grid_point(point: Sequence[int], M: int, d: int) -> GridPoint:
-    """point as a tuple of ints, checked in one walk to be d integral
-    coordinates (ints, numpy ints, bools or integral floats) in [1..M].
-    A tuple of d ints in range, as the grid walks make, is returned as it is."""
+    """point as a tuple of ints, checked to be d whole-number coordinates
+    (config.whole_number) in [1..M].  A tuple of d ints in range, as the
+    grid walks make, is returned as it is."""
     if type(point) is tuple and len(point) == d:
         for t in point:
             if type(t) is not int or not 1 <= t <= M:
                 break
         else:
             return point
-    coords = []
-    try:
-        for t in point:
-            c = int(t)
-            if c != t or not 1 <= c <= M:
-                raise ValueError(f"coordinate {t!r} of {point} is not an integer in [1..{M}]")
-            coords.append(c)
-    except OverflowError:  # int() of an infinity
-        raise ValueError(f"point {point} outside [1..{M}]^{d}") from None
-    if len(coords) != d:
-        raise ValueError(f"point has {len(coords)} coordinates, expected {d}")
-    return tuple(coords)
+    coords = tuple([whole_number(t, "a grid coordinate", 1) for t in point])
+    if len(coords) != d or max(coords) > M:
+        raise ValueError(f"point {point} is not in [1..{M}]^{d}")
+    return coords
 
 
 def _not_a_sign(label) -> NoReturn:
@@ -77,13 +69,13 @@ def _not_a_sign(label) -> NoReturn:
 
 @dataclass
 class SpernerInstance:
-    """Grid width M, dimension d, and a query-counted labeling."""
+    """Grid width M, dimension d, and a labeling whose queries are each
+    charged to ``ledger["lambda"]``."""
 
     M: int
     d: int
     labeling: Callable[[GridPoint], Tuple[int, ...]]
     ledger: QueryLedger = field(default_factory=QueryLedger)
-    name: str = "lambda"
 
     def __post_init__(self) -> None:
         # M = 1 would put every point on both faces of every coordinate
@@ -95,7 +87,7 @@ class SpernerInstance:
         be integral (ints, numpy ints, bools or integral floats) and lie in
         [1..M]; the point is checked before the ledger is charged."""
         coords = _grid_point(point, self.M, self.d)
-        self.ledger.record(self.name)
+        self.ledger.record("lambda")
         labels = tuple([1 if l == 1 else -1 if l == -1 else _not_a_sign(l) for l in self.labeling(coords)])
         if len(labels) != self.d:
             raise ValueError(f"labeling returned {len(labels)} signs, expected {self.d}")
@@ -290,7 +282,7 @@ TEST_MAPS: Dict[str, TestMap] = {
 def get_test_map(name: str) -> TestMap:
     try:
         return TEST_MAPS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a JSON list
         raise ValueError(f"unknown test map {name!r}; registered: {sorted(TEST_MAPS)}")
 
 

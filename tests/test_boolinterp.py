@@ -21,7 +21,7 @@ from oracles import grad_central, rel_err
 
 
 def xor_oracle(ledger=None):
-    return BoolOracle.from_truth_table([0, 1, 1, 0], name="h", ledger=ledger)
+    return BoolOracle.from_truth_table([0, 1, 1, 0], ledger=ledger)
 
 
 def random_oracle(rng, arity, ledger=None):
@@ -51,7 +51,7 @@ class TestBoolOracle:
         h = xor_oracle(ledger)
         for k in range(5):
             h.query((0, 1))
-            assert ledger.count("h") == k + 1
+            assert ledger.count("L") == k + 1
 
     def test_rejects_non_bits(self):
         h = xor_oracle()
@@ -66,18 +66,18 @@ class TestBoolOracle:
         h = xor_oracle(ledger)
         with pytest.raises(ValueError):
             h.query(bits)
-        assert ledger.count("h") == 0
+        assert ledger.count("L") == 0
 
     def test_accepts_integral_bit_types(self):
         seen = []
-        table = BoolOracle.from_truth_table([0, 1, 1, 0], name="h")
-        h = BoolOracle(arity=2, fn=lambda bits: seen.append(bits) or table.fn(bits), name="h")
+        table = BoolOracle.from_truth_table([0, 1, 1, 0])
+        h = BoolOracle(arity=2, fn=lambda bits: seen.append(bits) or table.fn(bits))
         assert h.query((np.int64(0), True)) == 1
         assert h.query((1.0, np.float64(0.0))) == 1
         assert h.query(np.array([1, 1])) == 0
         assert seen == [(0, 1), (1, 0), (1, 1)]
         assert all(type(b) is int for bits in seen for b in bits)
-        assert h.ledger.count("h") == 3
+        assert h.ledger.count("L") == 3
 
     def test_rejects_bad_output(self):
         bad = BoolOracle(arity=1, fn=lambda bits: 7)
@@ -122,13 +122,13 @@ class TestInterpEval:
         ledger = QueryLedger()
         h = xor_oracle(ledger)
         assert interp_eval([0.5, 0.5], h) == 0.5
-        assert ledger.count("h") == 0
+        assert ledger.count("L") == 0
 
     def test_half_on_profile_boundary_without_query(self):
         ledger = QueryLedger()
         h = xor_oracle(ledger)
         assert interp_eval([1.0 / 3.0, 1.0 / 3.0], h) == 0.5
-        assert ledger.count("h") == 0
+        assert ledger.count("L") == 0
 
     def test_single_bit_formula(self):
         ident = BoolOracle.from_truth_table([0, 1])
@@ -188,14 +188,14 @@ class TestInterpGrad:
         h = xor_oracle(ledger)
         grad = interp_grad([0.5, 0.5], h)
         assert np.all(grad == 0.0)
-        assert ledger.count("h") == 0
+        assert ledger.count("L") == 0
 
     def test_zero_inside_small_box_without_query(self):
         ledger = QueryLedger()
         h = xor_oracle(ledger)
         grad = interp_grad([0.05, 0.95], h)
         assert np.all(grad == 0.0)
-        assert ledger.count("h") == 0
+        assert ledger.count("L") == 0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(47)

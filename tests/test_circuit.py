@@ -1,6 +1,7 @@
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 
 from minmaxlab.boolinterp import BoolOracle
@@ -21,7 +22,9 @@ from minmaxlab.circuit import (
     unary_decode,
     validate_instance,
 )
+from minmaxlab.config import whole_number
 from minmaxlab.ledger import QueryLedger
+from minmaxlab.sperner import SpernerInstance
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, purify_loop
 
@@ -161,6 +164,23 @@ class TestLedger:
         snap = ledger.snapshot()
         assert snap == {"L": 6, "F": 4, "lambda": 1}
         assert all(type(v) is int for v in snap.values())
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "3", None, -1])
+    def test_rejected(self, value):
+        with pytest.raises(ValueError, match="the count must be a whole number >= 0"):
+            whole_number(value, "the count")
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0, True])
+    def test_accepted_as_int(self, value):
+        n = whole_number(value, "the count")
+        assert n == value and type(n) is int
+
+    def test_minimum(self):
+        assert whole_number(1, "m", 1) == 1
+        with pytest.raises(ValueError, match="m must be a whole number >= 1, got 0"):
+            whole_number(0, "m", 1)
 
 
 class TestValidate:
@@ -388,7 +408,7 @@ class TestOracleFromLabeling:
             return tuple(1 if point[i] <= M // 2 else -1 for i in range(d))
 
         ledger = QueryLedger()
-        oracle = build_oracle_from_labeling(labeling, M, d, ledger=ledger)
+        oracle = build_oracle_from_labeling(SpernerInstance(M, d, labeling, ledger))
         return oracle, calls, ledger
 
     def test_arity(self):
@@ -411,6 +431,14 @@ class TestOracleFromLabeling:
         assert calls == [(1, 2)]
         assert out == 1  # labeling gives +1 at small coordinates
         assert ledger.count("lambda") == 1
+
+    @pytest.mark.parametrize("labels", [(1, 0), (1,), (1, -1, 1)], ids=["zero", "short", "long"])
+    def test_bad_labels_raise_through_the_oracle(self, labels):
+        ledger = QueryLedger()
+        oracle = build_oracle_from_labeling(SpernerInstance(3, 2, lambda point: labels, ledger))
+        with pytest.raises(ValueError, match="labeling returned"):
+            oracle.query((1, 0, 0, 1, 1, 0, 1, 0))
+        assert ledger.snapshot() == {"L": 1, "lambda": 1}
 
     def test_all_ones_block_decodes_to_M(self):
         oracle, calls, _ = self.make(M=3, d=2)
@@ -514,6 +542,35 @@ class TestJsonFormat:
     def test_nodes_must_be_a_list_of_names(self, nodes):
         payload = {"nodes": nodes, "gates": [{"type": "NOR", "in": ["a", "a"], "out": "b"}], "oracle": None}
         with pytest.raises(ValueError, match="'nodes' must be a list of node names"):
+            circuit_from_json(json.dumps(payload))
+
+    def test_oracle_without_spec_is_not_written(self):
+        inst = CircuitInstance(
+            nodes=("a", "b"),
+            gates=(oracle_gate(("b",), "a"), oracle_gate(("a",), "b")),
+            oracle=BoolOracle.from_truth_table([0, 1]),
+        )
+        with pytest.raises(ValueError, match="no oracle_spec"):
+            circuit_to_json(inst)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"d": 2.7}, "'d' must be a whole number"),
+            ({"M": 16.9}, "'M' must be a whole number"),
+            ({"d": [2]}, "'d' must be a whole number"),
+            ({"M": "16"}, "'M' must be a whole number"),
+            ({"eps": "0.2"}, "'eps' must be a number"),
+            ({"eps": [0.2]}, "'eps' must be a number"),
+            ({"d": True}, "stored d=1 but map 'constant' has d=2"),
+            ({"d": 3}, "stored d=3 but map 'constant' has d=2"),
+            ({"map": ["constant"]}, "unknown test map"),
+        ],
+    )
+    def test_sperner_oracle_data_checked_when_parsed(self, change, message):
+        data = {"map": "constant", "M": 16, "d": 2, "eps": 0.2, **change}
+        payload = {"nodes": ["n0"], "gates": [], "oracle": {"kind": "sperner", "data": data}}
+        with pytest.raises(ValueError, match=message):
             circuit_from_json(json.dumps(payload))
 
     def test_sperner_oracle_M_mismatch_rejected(self):

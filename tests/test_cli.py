@@ -82,7 +82,10 @@ class TestBuildGda:
         path.write_text(json.dumps({"mode": "scaled", "delta": 0.1}))
         assert main(["build-gda", str(path)]) == 2
 
-    @pytest.mark.parametrize("key, value", [("n", math.inf), ("n", math.nan), ("delta", math.nan), ("eps", math.inf)])
+    @pytest.mark.parametrize("key, value", [
+        ("n", math.inf), ("n", math.nan), ("delta", math.nan), ("eps", math.inf),
+        ("delta", "0.05"), ("eps", [1e-4]), ("n", [4]), ("rho", [0.1]),
+    ])
     def test_non_finite_parameter_exits_two(self, gda_file, capsys, key, value):
         desc = json.loads(gda_file.read_text())
         desc[key] = value

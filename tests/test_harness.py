@@ -110,7 +110,15 @@ class TestPgda:
             runner(BilinearToy(), steps=5, lr=lr)
 
     @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
-    @pytest.mark.parametrize("gap_every", [0, -3])
+    @pytest.mark.parametrize("steps", [0, 2.5, math.nan, math.inf, "5"])
+    def test_bad_step_count_rejected(self, runner, steps):
+        toy = BilinearToy()
+        with pytest.raises(ValueError, match="steps"):
+            runner(toy, steps=steps, lr=0.1)
+        assert toy.ledger.total() == 0
+
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize("gap_every", [0, -3, 1.5, math.nan])
     def test_bad_gap_every_rejected(self, runner, gap_every):
         with pytest.raises(ValueError, match="gap_every"):
             runner(BilinearToy(), steps=5, lr=0.1, gap_every=gap_every)
@@ -158,6 +166,11 @@ class TestGridSearch:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             grid_search_stationary(BilinearToy(), resolution=4000)
+
+    @pytest.mark.parametrize("resolution", [1, 2.5, math.nan])
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            grid_search_stationary(BilinearToy(), resolution=resolution)
 
     def test_gap_matches_brute_force_on_grid(self):
         # endpoint formula vs scanning a 1001-point grid of the defining

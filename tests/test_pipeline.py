@@ -20,6 +20,7 @@ from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_gr
 from minmaxlab.harness import GdaObjective, run_pgda
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.sperner import (
+    SpernerInstance,
     _label_grid,
     brouwer_to_labeling,
     find_sperner_solution_exhaustive,
@@ -43,7 +44,7 @@ def build_chain(eps=0.2):
     fmap = get_test_map("smoothed_rotation")
     labeling, M = make_brouwer_labeling(fmap.fn, fmap.d, eps)
     ledger = QueryLedger()
-    oracle = build_oracle_from_labeling(labeling, M, fmap.d, ledger=ledger)
+    oracle = build_oracle_from_labeling(SpernerInstance(M, fmap.d, labeling, ledger))
     assert oracle.arity == 34
 
     inputs = [f"p{i}" for i in range(1, 35)]

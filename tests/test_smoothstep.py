@@ -224,6 +224,10 @@ class TestNamedSteps:
             named_step("energy")
         with pytest.raises(ValueError):
             named_step("energy", 0)
+        for m in (2.5, math.inf, math.nan, "3"):
+            with pytest.raises(ValueError, match="whole number"):
+                named_step("energy", m)
+        assert named_step("energy", 3.0).name == "energy(3)"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
