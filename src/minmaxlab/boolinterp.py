@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, whole_number
 from .ledger import QueryLedger
 from .smoothstep import ALPHA
 
@@ -52,8 +52,7 @@ class BoolOracle:
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("oracle arity must be >= 1")
+        self.arity = whole_number(self.arity, "oracle arity", 1)
 
     def query(self, bits: Sequence[int]) -> int:
         vertex = []

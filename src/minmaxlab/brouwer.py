@@ -12,14 +12,23 @@ Only ORACLE coordinates touch the oracle, and each touches it at most
 once per evaluation, so a full F or Jacobian evaluation costs at most
 |V| oracle queries.  Entrywise |dF_i/dz_j| <= e^12.
 
-build_brouwer compiles the circuit once into a frozen BrouwerMap, whose
-values and slopes methods are the only place gate semantics are
-dispatched: F, its Jacobian, the feedback cut and the min-max signals of
-gda.py all read it.  The kernel is plateau-first: a NOR input sum at or
-beyond a knee of g (1/3, 2/3), or a PURIFY input at or beyond a knee of
-ell (5/12, 7/12), gets the step's constant value and zero slope (signed
-as the step gives it) from NamedStep.plateau; only inputs inside the
-transition band evaluate G or ELL, so smoothstep stays the one formula.
+Gate semantics live in one place: _TEMPLATES below holds one value and
+one slope expression per gate kind.  build_brouwer fills them in, row by
+row, into straight-line Python source and compiles it once into the
+kernels of a frozen BrouwerMap; F, its Jacobian, the feedback cut and
+the min-max signals of gda.py all run these kernels.  The templates are
+plateau-first: a NOR input sum at or beyond a knee of g (1/3, 2/3), or a
+PURIFY input at or beyond a knee of ell (5/12, 7/12), gets the step's
+constant value and zero slope (signed as the step gives it) from
+NamedStep.plateau; only inputs inside the transition band evaluate G or
+ELL, so smoothstep stays the one formula.
+
+The generated source is safe to compile: it is made of the fixed
+templates, integer coordinates and float reprs of the plateau constants
+and PURIFY offsets, and never holds a node name or anything else read
+from a circuit file.  It runs with this module's globals, so G, ELL,
+interp_eval and interp_grad are looked up here at each call, and a
+wrapper put on any of them after build_brouwer sees every call.
 
 eval_F and eval_JF take one point, and each call charges exactly one
 F_evals / JF_evals, so calls and ledger counts agree (the benchmark's
@@ -54,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +71,7 @@ from .boolinterp import interp_eval, interp_grad
 from .circuit import (
     BOT,
     NOR,
+    ORACLE,
     PURIFY,
     Assignment,
     CircuitInstance,
@@ -72,80 +82,62 @@ from .ledger import QueryLedger
 from .smoothstep import ELL, G
 
 _FLOAT64 = np.dtype(np.float64)
-_G_PLATEAU = G.plateau()
-_ELL_PLATEAU = ELL.plateau()
+Kernel = Callable[[Sequence[float]], List[float]]
+
+
+# (value, slope) template per gate kind.  {a} is the gate's argument
+# (NOR: z[u] + z[v]; PURIFY: z[u] + offset; ORACLE: the input
+# coordinates) and L the oracle; a NOR slope is one number, given once
+# per input.
+_TEMPLATES = {
+    NOR: ("{g_lo} if (x := {a}) <= {g1} else {g_hi} if x >= {g2} else G(x)",
+          "(s := {g_flat} if (x := {a}) <= {g1} or x >= {g2} else G.d1(x)), s"),
+    PURIFY: ("{e_lo} if (x := {a}) <= {e1} else {e_hi} if x >= {e2} else ELL(x)",
+             "{e_flat} if (x := {a}) <= {e1} or x >= {e2} else ELL.d1(x)"),
+    ORACLE: ("interp_eval([{a}], L)",
+             "*interp_grad([{a}], L).tolist()"),
+}
+_PLATEAUS = dict(zip(("g1", "g2", "g_lo", "g_hi", "g_flat", "e1", "e2", "e_lo", "e_hi", "e_flat"),
+                     map(repr, G.plateau() + ELL.plateau())))
 
 
 @dataclass(frozen=True)
 class BrouwerMap:
-    """The circuit compiled into its coordinate map.  Per coordinate w: the
-    kind of the gate that outputs it, the input coordinates it reads, and
-    the PURIFY offset added to its input on the map side (outputs +1/4,
-    -1/4) and on the signal side (-1/4, +1/4).  ``positions`` maps each
-    node to its coordinate, ``gate_order`` lists coordinates gate by gate
-    and ``fan_in`` the edges (u, w) from each input u to each output w in
-    that order; ``jac_index`` holds the flat positions w * d + u of the
-    Jacobian's nonzeros, row by row."""
+    """The circuit compiled into straight-line kernels.
+
+    ``positions`` maps each node to its coordinate and ``inputs`` lists,
+    per coordinate w, the input coordinates of the gate that outputs w.
+    ``fan_in`` holds the edges (u, w) from each input u to each output w,
+    gate by gate, and ``jac_index`` the flat positions w * d + u of the
+    Jacobian's nonzeros, row by row.
+
+    Each kernel takes the coordinate values as a list of floats and
+    returns a list.  ``map_values`` is F (PURIFY outputs read their input
+    +1/4 and -1/4), ``map_slopes`` its nonzero slopes in ``jac_index``
+    order, ``signal_values`` the min-max signals (PURIFY offsets -1/4 and
+    +1/4) and ``signal_slopes`` their slopes in ``fan_in`` order;
+    ``row_values[w]`` is F_w alone.  ``source`` is the code they were
+    compiled from."""
 
     circuit: CircuitInstance
     dim: int
     node_order: Tuple[str, ...]
     ledger: QueryLedger
     positions: Dict[str, int]
-    kinds: Tuple[str, ...]
     inputs: Tuple[Tuple[int, ...], ...]
-    map_offsets: Tuple[float, ...]
-    signal_offsets: Tuple[float, ...]
-    gate_order: Tuple[int, ...]
     fan_in: Tuple[Tuple[int, int], ...]
     jac_index: np.ndarray = field(repr=False, compare=False)
+    map_values: Kernel = field(repr=False, compare=False)
+    map_slopes: Kernel = field(repr=False, compare=False)
+    signal_values: Kernel = field(repr=False, compare=False)
+    signal_slopes: Kernel = field(repr=False, compare=False)
+    row_values: Tuple[Callable[[Sequence[float]], float], ...] = field(repr=False, compare=False)
+    source: str = field(repr=False, compare=False)
 
     def index(self, node: str) -> int:
         if node not in self.positions:
             raise ValueError(f"{node!r} is not a node of the circuit")
         return self.positions[node]
-
-    def values(self, vals: Sequence[float], offsets: Sequence[float], rows: Iterable[int]) -> List[float]:
-        """Smooth response of each row's gate to the coordinate values `vals`.
-
-        Inputs at or beyond a knee get the step's plateau value without a
-        call; only the transition band evaluates G or ELL."""
-        kinds, inputs = self.kinds, self.inputs
-        g1, g2, g_lo, g_hi, _ = _G_PLATEAU
-        e1, e2, e_lo, e_hi, _ = _ELL_PLATEAU
-        out: List[float] = []
-        append = out.append
-        for w in rows:
-            kind, ins = kinds[w], inputs[w]
-            if kind == NOR:
-                x = vals[ins[0]] + vals[ins[1]]
-                append(g_lo if x <= g1 else g_hi if x >= g2 else G(x))
-            elif kind == PURIFY:
-                x = vals[ins[0]] + offsets[w]
-                append(e_lo if x <= e1 else e_hi if x >= e2 else ELL(x))
-            else:
-                append(interp_eval([vals[i] for i in ins], self.circuit.oracle))
-        return out
-
-    def slopes(self, vals: Sequence[float], offsets: Sequence[float], rows: Iterable[int]) -> List[float]:
-        """d response / d input for each input of each row's gate, flattened row by row."""
-        kinds, inputs = self.kinds, self.inputs
-        g1, g2, _, _, g_flat = _G_PLATEAU
-        e1, e2, _, _, e_flat = _ELL_PLATEAU
-        out: List[float] = []
-        append = out.append
-        for w in rows:
-            kind, ins = kinds[w], inputs[w]
-            if kind == NOR:
-                x = vals[ins[0]] + vals[ins[1]]
-                slope = g_flat if x <= g1 or x >= g2 else G.d1(x)
-                out += (slope, slope)
-            elif kind == PURIFY:
-                x = vals[ins[0]] + offsets[w]
-                append(e_flat if x <= e1 or x >= e2 else ELL.d1(x))
-            else:
-                out += interp_grad([vals[i] for i in ins], self.circuit.oracle).tolist()
-        return out
 
 
 def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
@@ -170,8 +162,36 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
             gate_order.append(w)
             fan_in += ((u, w) for u in ins)
     jac_index = np.array([w * d + u for w in range(d) for u in inputs[w]], dtype=np.intp)
-    return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(kinds), tuple(inputs),
-                      tuple(map_offsets), tuple(signal_offsets), tuple(gate_order), tuple(fan_in), jac_index)
+
+    def row(w: int, side: int, offsets: List[float]) -> str:
+        kind, ins = kinds[w], inputs[w]
+        if kind == NOR:
+            arg = f"z[{ins[0]}] + z[{ins[1]}]"
+        elif kind == PURIFY:
+            arg = f"z[{ins[0]}] + {offsets[w]!r}"
+        else:
+            arg = ", ".join(f"z[{u}]" for u in ins)
+        return _TEMPLATES[kind][side].format(a=arg, **_PLATEAUS)
+
+    def kernel(name: str, side: int, offsets: List[float], rows: Iterable[int]) -> str:
+        items = "".join(f"\n            {row(w, side, offsets)}," for w in rows)
+        return f"    def {name}(z):\n        return [{items}\n        ]\n"
+
+    # only templates, int coordinates and float reprs: no node name
+    source = (
+        "def kernels(L):\n"
+        + kernel("map_values", 0, map_offsets, range(d))
+        + kernel("map_slopes", 1, map_offsets, range(d))
+        + kernel("signal_values", 0, signal_offsets, range(d))
+        + kernel("signal_slopes", 1, signal_offsets, gate_order)
+        + "    return map_values, map_slopes, signal_values, signal_slopes, ("
+        + "".join(f"\n        lambda z: {row(w, 0, map_offsets)}," for w in range(d))
+        + "\n    )\n"
+    )
+    namespace: Dict[str, Callable] = {}
+    exec(compile(source, "<brouwer kernels>", "exec"), globals(), namespace)
+    return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(inputs), tuple(fan_in),
+                      jac_index, *namespace["kernels"](inst.oracle), source)
 
 
 def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
@@ -188,14 +208,14 @@ def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
 
 
 def eval_component(bmap: BrouwerMap, node_idx: int, z: Sequence[float]) -> float:
-    return bmap.values(z, bmap.map_offsets, (node_idx,))[0]
+    return bmap.row_values[node_idx](z)
 
 
 def eval_F(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     """F(z); at most one oracle query per ORACLE coordinate."""
     zl = _check_domain(bmap, z)
     bmap.ledger.record("F_evals")
-    return np.array(bmap.values(zl, bmap.map_offsets, range(bmap.dim)), dtype=float)
+    return np.array(bmap.map_values(zl), dtype=float)
 
 
 def eval_JF(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
@@ -204,7 +224,7 @@ def eval_JF(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     bmap.ledger.record("JF_evals")
     d = bmap.dim
     jac = np.zeros(d * d)
-    jac[bmap.jac_index] = bmap.slopes(zl, bmap.map_offsets, range(d))
+    jac[bmap.jac_index] = bmap.map_slopes(zl)
     return jac.reshape(d, d)
 
 

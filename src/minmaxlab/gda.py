@@ -241,7 +241,7 @@ def energy(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
 
 def _signals_from_energies(inst: GdaInstance, energies: np.ndarray) -> np.ndarray:
     bmap = inst.bmap
-    return np.array(bmap.values(energies.tolist(), bmap.signal_offsets, range(inst.m)))
+    return np.array(bmap.signal_values(energies.tolist()))
 
 
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -311,7 +311,7 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     if np.any(ephi1 != 0.0):
         H, disp = _gadgets_from_blocks(inst, bx, by)
         bmap = inst.bmap
-        slopes = bmap.slopes(energies.tolist(), bmap.signal_offsets, bmap.gate_order)
+        slopes = bmap.signal_slopes(energies.tolist())
         # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order
         sens = [0] * inst.m
         for (u, w), slope in zip(bmap.fan_in, slopes):

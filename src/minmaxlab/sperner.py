@@ -79,8 +79,10 @@ class SpernerInstance:
 
     def __post_init__(self) -> None:
         # M = 1 would put every point on both faces of every coordinate
-        if self.M < 2 or self.d < 1:
-            raise ValueError(f"need M >= 2 and d >= 1, got M={self.M}, d={self.d}")
+        try:
+            self.M, self.d = whole_number(self.M, "M", 2), whole_number(self.d, "d", 1)
+        except ValueError:
+            raise ValueError(f"need whole numbers M >= 2 and d >= 1, got M={self.M!r}, d={self.d!r}") from None
 
     def query(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Labels of one grid point, charged as one query.  Coordinates must

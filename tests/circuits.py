@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from minmaxlab.boolinterp import BoolOracle
-from minmaxlab.circuit import CircuitInstance, nor, oracle_gate, purify
+from minmaxlab.circuit import (
+    CircuitInstance,
+    build_constant_gadget,
+    build_oracle_from_labeling,
+    nor,
+    oracle_gate,
+    purify,
+)
 from minmaxlab.ledger import QueryLedger
+from minmaxlab.sperner import SpernerInstance, get_test_map, make_brouwer_labeling
 
 
 def nor_loop(ledger=None):
@@ -73,3 +83,42 @@ def oracle_attracting(table=(0, 0, 0, 1), ledger=None):
         ledger=ledger,
         oracle_spec={"kind": "truth_table", "data": list(table)},
     )
+
+
+def every_instance():
+    """(name, maker) for every circuit above with every oracle table, and the gadget."""
+    cases = [("nor_loop", nor_loop), ("purify_loop", purify_loop)]
+    for table in product((0, 1), repeat=2):
+        cases.append((f"oracle_pair{table}", lambda table=table: oracle_pair(table)))
+    for maker in (oracle_purify, oracle_attracting):
+        for table in product((0, 1), repeat=4):
+            cases.append((f"{maker.__name__}{table}", lambda maker=maker, table=table: maker(table)))
+    cases.append(("gadget", lambda: build_constant_gadget().instance))
+    return cases
+
+
+def build_chain(eps=0.2):
+    """35-node circuit whose single ORACLE gate wraps a grid labeling.
+
+    The labeling comes from the smoothed-rotation test map at accuracy
+    eps (M = 16, d = 2, so the oracle has arity M*d + d = 34).  The 34
+    oracle inputs are produced by 17 PURIFY gates fanning out from the
+    oracle's own output node.
+    """
+    fmap = get_test_map("smoothed_rotation")
+    labeling, M = make_brouwer_labeling(fmap.fn, fmap.d, eps)
+    ledger = QueryLedger()
+    oracle = build_oracle_from_labeling(SpernerInstance(M, fmap.d, labeling, ledger))
+    assert oracle.arity == 34
+
+    inputs = [f"p{i}" for i in range(1, 35)]
+    gates = [oracle_gate(tuple(inputs), "o")]
+    for k in range(17):
+        gates.append(purify("o", inputs[2 * k], inputs[2 * k + 1]))
+    circuit = CircuitInstance(
+        nodes=tuple(["o"] + inputs),
+        gates=tuple(gates),
+        oracle=oracle,
+        ledger=ledger,
+    )
+    return circuit

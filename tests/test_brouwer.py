@@ -32,7 +32,7 @@ from minmaxlab.circuit import (
 from minmaxlab.config import DEFAULTS
 from minmaxlab.smoothstep import ELL, G
 
-from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+from circuits import every_instance, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 
 
 class TestBuild:
@@ -64,7 +64,7 @@ def _knee_points():
 
 
 class TestGateTableKnees:
-    """BrouwerMap answers the plateaus without evaluating the step; its
+    """The kernels answer the plateaus without evaluating the step; their
     values and slopes must be G, ELL, G.d1 and ELL.d1 bit for bit,
     signed zeros included."""
 
@@ -74,25 +74,33 @@ class TestGateTableKnees:
 
     @pytest.mark.parametrize("x", _knee_points())
     def test_values_and_slopes_equal_the_steps(self, x):
-        # nor_loop rows: a = NOR(b, c), b and c = PURIFY(a); with zero
-        # offsets and z_c = 0 every gate sees exactly x
+        # nor_loop rows: a = NOR(b, c), b and c = PURIFY(a).  With
+        # z_a = x - 1/4 (exact at these points) and z_c = 0, the NOR row,
+        # the map's first PURIFY output (offset +1/4) and the signals'
+        # second (offset +1/4) each see exactly x
         table = build_brouwer(nor_loop())
-        vals, offsets = [x, x, 0.0], [0.0, 0.0, 0.0]
-        assert self.bits(table.values(vals, offsets, range(3))) == self.bits([G(x), ELL(x), ELL(x)])
-        assert self.bits(table.slopes(vals, offsets, range(3))) == self.bits(
-            [G.d1(x), G.d1(x), ELL.d1(x), ELL.d1(x)]
-        )
+        z = [x - 0.25, x, 0.0]
+        assert z[0] + 0.25 == x
+        values, signals = table.map_values(z), table.signal_values(z)
+        assert self.bits([values[0], values[1], signals[2]]) == self.bits([G(x), ELL(x), ELL(x)])
+        assert self.bits(table.map_slopes(z)[:3]) == self.bits([G.d1(x), G.d1(x), ELL.d1(x)])
+        # signal slopes run gate by gate: PURIFY(a -> b, c), then NOR(b, c -> a)
+        assert self.bits(table.signal_slopes(z)[1:]) == self.bits([ELL.d1(x), G.d1(x), G.d1(x)])
+        assert self.bits([table.row_values[0](z), table.row_values[1](z)]) == self.bits([G(x), ELL(x)])
 
     @pytest.mark.parametrize("x", _knee_points())
     def test_map_and_signal_offsets(self, x):
         table = build_brouwer(nor_loop())
         z = [x - 0.25, x / 2.0, x / 2.0]
-        for offsets, (first, second) in ((table.map_offsets, (0.25, -0.25)), (table.signal_offsets, (-0.25, 0.25))):
+        slope = G.d1(z[1] + z[2])
+        for values, (first, second) in ((table.map_values, (0.25, -0.25)), (table.signal_values, (-0.25, 0.25))):
             expected = [G(z[1] + z[2]), ELL(z[0] + first), ELL(z[0] + second)]
-            assert self.bits(table.values(z, offsets, range(3))) == self.bits(expected)
-            slope = G.d1(z[1] + z[2])
-            expected = [slope, slope, ELL.d1(z[0] + first), ELL.d1(z[0] + second)]
-            assert self.bits(table.slopes(z, offsets, range(3))) == self.bits(expected)
+            assert self.bits(values(z)) == self.bits(expected)
+        assert self.bits([row(z) for row in table.row_values]) == self.bits(table.map_values(z))
+        expected = [slope, slope, ELL.d1(z[0] + 0.25), ELL.d1(z[0] - 0.25)]
+        assert self.bits(table.map_slopes(z)) == self.bits(expected)
+        expected = [ELL.d1(z[0] - 0.25), ELL.d1(z[0] + 0.25), slope, slope]
+        assert self.bits(table.signal_slopes(z)) == self.bits(expected)
 
     def test_plateaus_skip_the_step(self, monkeypatch):
         calls = []
@@ -100,14 +108,26 @@ class TestGateTableKnees:
             original = getattr(smoothstep, name)
             monkeypatch.setattr(smoothstep, name, lambda spec, x, f=original: calls.append(x) or f(spec, x))
         table = build_brouwer(nor_loop())
-        zeros = [0.0, 0.0, 0.0]
-        # (PURIFY input, NOR input), each at or beyond a knee of its step
-        for a, b in ((0.0, 0.0), (5.0 / 12.0, 1.0 / 3.0), (7.0 / 12.0, 2.0 / 3.0), (1.0, 2.0)):
-            table.values([a, b, 0.0], zeros, range(3))
-            table.slopes([a, b, 0.0], zeros, range(3))
+
+        def run_all(z):
+            for kernel in (table.map_values, table.map_slopes, table.signal_values, table.signal_slopes):
+                kernel(z)
+            for row in table.row_values:
+                row(z)
+
+        # (z_a, NOR input).  The PURIFY outputs see z_a + 1/4 and z_a - 1/4:
+        # (0, -1/2), (5/12, -1/12), (7/12, 1/12) and (5/4, 3/4), so each knee
+        # of ell is met exactly, and every input is at or beyond a knee
+        for a, b in ((-0.25, 0.0), (5.0 / 12.0 - 0.25, 1.0 / 3.0), (7.0 / 12.0 - 0.25, 2.0 / 3.0), (1.0, 2.0)):
+            run_all([a, b, 0.0])
         assert calls == []
-        table.values([0.5, 0.5, 0.0], zeros, range(3))
-        assert calls == [0.5, 0.5, 0.5]
+        # NOR and the offset +1/4 PURIFY output see 0.5; the other output 0
+        table.map_values([0.25, 0.5, 0.0])
+        assert calls == [0.5, 0.5]
+        table.signal_values([0.25, 0.5, 0.0])
+        assert calls == [0.5, 0.5, 0.5, 0.5]
+        table.map_slopes([0.25, 0.5, 0.0])
+        assert calls == [0.5] * 6
 
 
 class TestEvalF:
@@ -404,24 +424,12 @@ def reference_damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None
     )
 
 
-def _every_instance():
-    """Every circuit of tests/circuits.py with every oracle table, and the gadget."""
-    cases = [("nor_loop", nor_loop), ("purify_loop", purify_loop)]
-    for table in product((0, 1), repeat=2):
-        cases.append((f"oracle_pair{table}", lambda table=table: oracle_pair(table)))
-    for maker in (oracle_purify, oracle_attracting):
-        for table in product((0, 1), repeat=4):
-            cases.append((f"{maker.__name__}{table}", lambda maker=maker, table=table: maker(table)))
-    cases.append(("gadget", lambda: build_constant_gadget().instance))
-    return cases
-
-
 class TestEarlyStop:
     """The 500-step stop rule of damped_iteration only shortens attempts
     that would not have improved again: against the loop without it, the
     best point, residual and flag are the same and no more F is spent."""
 
-    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _every_instance()])
+    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in every_instance()])
     def test_same_result_as_full_run(self, make):
         starts = [None]
         for seed in range(5):
@@ -466,7 +474,7 @@ class TestGridRestartStop:
     scan also returns, since it keeps the first strict minimum."""
 
     @pytest.mark.parametrize(
-        "make", [pytest.param(make, id=name) for name, make in _every_instance() if len(make().nodes) <= 3]
+        "make", [pytest.param(make, id=name) for name, make in every_instance() if len(make().nodes) <= 3]
     )
     def test_same_point_as_full_scan(self, make):
         old, new = build_brouwer(make()), build_brouwer(make())

@@ -182,6 +182,28 @@ class TestWholeNumber:
         with pytest.raises(ValueError, match="m must be a whole number >= 1, got 0"):
             whole_number(0, "m", 1)
 
+    @pytest.mark.parametrize("arity", [1.5, 0, float("nan"), "2", None])
+    def test_oracle_arity_rejected(self, arity):
+        with pytest.raises(ValueError, match="oracle arity must be a whole number >= 1"):
+            BoolOracle(arity=arity, fn=lambda bits: 0)
+
+    @pytest.mark.parametrize("arity", [2, 2.0, np.int64(2)])
+    def test_oracle_arity_stored_as_int(self, arity):
+        oracle = BoolOracle(arity=arity, fn=lambda bits: bits[0])
+        assert oracle.arity == 2 and type(oracle.arity) is int
+        assert oracle.query((1, 0)) == 1
+
+    @pytest.mark.parametrize("M, d", [(3.5, 2), (16, 2.7), ("3", 1), (float("inf"), 1), (3, None)])
+    def test_grid_size_rejected(self, M, d):
+        with pytest.raises(ValueError, match="M >= 2 and d >= 1"):
+            SpernerInstance(M=M, d=d, labeling=lambda p: (1, 1))
+
+    @pytest.mark.parametrize("M, d", [(3.0, 2.0), (np.int64(3), np.int64(2))])
+    def test_grid_size_stored_as_int(self, M, d):
+        inst = SpernerInstance(M=M, d=d, labeling=lambda p: (1, 1))
+        assert (inst.M, inst.d) == (3, 2)
+        assert type(inst.M) is int and type(inst.d) is int
+
 
 class TestValidate:
     def test_gadget_core_is_well_formed(self):

@@ -8,56 +8,19 @@ import numpy as np
 import pytest
 
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF, find_fixed_point
-from minmaxlab.circuit import (
-    CircuitInstance,
-    build_constant_gadget,
-    build_oracle_from_labeling,
-    oracle_gate,
-    purify,
-    validate_instance,
-)
+from minmaxlab.circuit import build_constant_gadget, validate_instance
 from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_grad_f
 from minmaxlab.harness import GdaObjective, run_pgda
-from minmaxlab.ledger import QueryLedger
 from minmaxlab.sperner import (
-    SpernerInstance,
     _label_grid,
     brouwer_to_labeling,
     find_sperner_solution_exhaustive,
     get_test_map,
-    make_brouwer_labeling,
     verify_sperner_solution,
 )
 
-from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+from circuits import build_chain, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 from oracles import central_diff, rel_err
-
-
-def build_chain(eps=0.2):
-    """35-node circuit whose single ORACLE gate wraps a grid labeling.
-
-    The labeling comes from the smoothed-rotation test map at accuracy
-    eps (M = 16, d = 2, so the oracle has arity M*d + d = 34).  The 34
-    oracle inputs are produced by 17 PURIFY gates fanning out from the
-    oracle's own output node.
-    """
-    fmap = get_test_map("smoothed_rotation")
-    labeling, M = make_brouwer_labeling(fmap.fn, fmap.d, eps)
-    ledger = QueryLedger()
-    oracle = build_oracle_from_labeling(SpernerInstance(M, fmap.d, labeling, ledger))
-    assert oracle.arity == 34
-
-    inputs = [f"p{i}" for i in range(1, 35)]
-    gates = [oracle_gate(tuple(inputs), "o")]
-    for k in range(17):
-        gates.append(purify("o", inputs[2 * k], inputs[2 * k + 1]))
-    circuit = CircuitInstance(
-        nodes=tuple(["o"] + inputs),
-        gates=tuple(gates),
-        oracle=oracle,
-        ledger=ledger,
-    )
-    return circuit
 
 
 class TestChain:
