@@ -49,7 +49,6 @@ from .gda import (
     DichotomyResult,
     GdaInstance,
     GdaParams,
-    NormalizedGda,
     build_gda_instance,
     decode_gda,
     derive_parameters,

@@ -14,9 +14,11 @@ once per evaluation, so a full F or Jacobian evaluation costs at most
 
 Gate semantics live in one place: _TEMPLATES below holds one value and
 one slope expression per gate kind.  build_brouwer fills them in, row by
-row, into straight-line Python source and compiles it once into the
-kernels of a frozen BrouwerMap; F, its Jacobian, the feedback cut and
-the min-max signals of gda.py all run these kernels.  The templates are
+row, into straight-line Python source and compiles it once into two
+kernels of a frozen BrouwerMap, F and its nonzero slopes, plus one
+closure per row; F, its Jacobian, the feedback cut and the min-max
+signals of gda.py (F with each PURIFY gate's outputs swapped, read
+through BrouwerMap.sibling) all run these kernels.  The templates are
 plateau-first: a NOR input sum at or beyond a knee of g (1/3, 2/3), or a
 PURIFY input at or beyond a knee of ell (5/12, 7/12), gets the step's
 constant value and zero slope (signed as the step gives it) from
@@ -62,8 +64,8 @@ a later stage wins over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,17 +109,17 @@ class BrouwerMap:
 
     ``positions`` maps each node to its coordinate and ``inputs`` lists,
     per coordinate w, the input coordinates of the gate that outputs w.
-    ``fan_in`` holds the edges (u, w) from each input u to each output w,
-    gate by gate, and ``jac_index`` the flat positions w * d + u of the
-    Jacobian's nonzeros, row by row.
+    ``sibling[w]`` is the other output of w's gate when that gate is a
+    PURIFY, else w itself.  ``jac_index`` holds the flat positions
+    w * d + u of the Jacobian's nonzeros, row by row, and ``fan_in`` the
+    edges (u, w, k) from each input u to each output w, gate by gate,
+    where k is the position of dF_{sibling[w]}/dz_u in ``map_slopes``.
 
     Each kernel takes the coordinate values as a list of floats and
     returns a list.  ``map_values`` is F (PURIFY outputs read their input
-    +1/4 and -1/4), ``map_slopes`` its nonzero slopes in ``jac_index``
-    order, ``signal_values`` the min-max signals (PURIFY offsets -1/4 and
-    +1/4) and ``signal_slopes`` their slopes in ``fan_in`` order;
-    ``row_values[w]`` is F_w alone.  ``source`` is the code they were
-    compiled from."""
+    +1/4 and -1/4) and ``map_slopes`` its nonzero slopes in ``jac_index``
+    order; ``row_values[w]`` is F_w alone.  ``source`` is the code they
+    were compiled from."""
 
     circuit: CircuitInstance
     dim: int
@@ -125,12 +127,11 @@ class BrouwerMap:
     ledger: QueryLedger
     positions: Dict[str, int]
     inputs: Tuple[Tuple[int, ...], ...]
-    fan_in: Tuple[Tuple[int, int], ...]
+    sibling: Tuple[int, ...]
+    fan_in: Tuple[Tuple[int, int, int], ...]
     jac_index: np.ndarray = field(repr=False, compare=False)
     map_values: Kernel = field(repr=False, compare=False)
     map_slopes: Kernel = field(repr=False, compare=False)
-    signal_values: Kernel = field(repr=False, compare=False)
-    signal_slopes: Kernel = field(repr=False, compare=False)
     row_values: Tuple[Callable[[Sequence[float]], float], ...] = field(repr=False, compare=False)
     source: str = field(repr=False, compare=False)
 
@@ -147,23 +148,22 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
         raise ValueError("invalid circuit instance: " + "; ".join(violations))
     positions = {v: i for i, v in enumerate(inst.nodes)}
     d = len(positions)
-    kinds, inputs = [NOR] * d, [()] * d
-    map_offsets, signal_offsets = [0.0] * d, [0.0] * d
-    gate_order: List[int] = []
-    fan_in: List[Tuple[int, int]] = []
+    kinds, inputs, offsets, sibling = [NOR] * d, [()] * d, [0.0] * d, list(range(d))
+    edges: List[Tuple[int, int, int]] = []
     for gate in inst.gates:
         ins = tuple(positions[u] for u in gate.inputs)
-        for pos, out in enumerate(gate.outputs):
-            w = positions[out]
+        outs = [positions[out] for out in gate.outputs]
+        for pos, w in enumerate(outs):
             kinds[w], inputs[w] = gate.kind, ins
             if gate.kind == PURIFY:
-                map_offsets[w] = (+0.25, -0.25)[pos]
-                signal_offsets[w] = (-0.25, +0.25)[pos]
-            gate_order.append(w)
-            fan_in += ((u, w) for u in ins)
+                offsets[w], sibling[w] = (+0.25, -0.25)[pos], outs[1 - pos]
+            edges += ((u, w, j) for j, u in enumerate(ins))
     jac_index = np.array([w * d + u for w in range(d) for u in inputs[w]], dtype=np.intp)
+    # a sibling shares w's gate, so input j of w is input j of sibling[w]
+    row_start = [0, *accumulate(len(ins) for ins in inputs)]
+    fan_in = tuple((u, w, row_start[sibling[w]] + j) for u, w, j in edges)
 
-    def row(w: int, side: int, offsets: List[float]) -> str:
+    def row(w: int, side: int) -> str:
         kind, ins = kinds[w], inputs[w]
         if kind == NOR:
             arg = f"z[{ins[0]}] + z[{ins[1]}]"
@@ -173,24 +173,22 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
             arg = ", ".join(f"z[{u}]" for u in ins)
         return _TEMPLATES[kind][side].format(a=arg, **_PLATEAUS)
 
-    def kernel(name: str, side: int, offsets: List[float], rows: Iterable[int]) -> str:
-        items = "".join(f"\n            {row(w, side, offsets)}," for w in rows)
+    def kernel(name: str, side: int) -> str:
+        items = "".join(f"\n            {row(w, side)}," for w in range(d))
         return f"    def {name}(z):\n        return [{items}\n        ]\n"
 
     # only templates, int coordinates and float reprs: no node name
     source = (
         "def kernels(L):\n"
-        + kernel("map_values", 0, map_offsets, range(d))
-        + kernel("map_slopes", 1, map_offsets, range(d))
-        + kernel("signal_values", 0, signal_offsets, range(d))
-        + kernel("signal_slopes", 1, signal_offsets, gate_order)
-        + "    return map_values, map_slopes, signal_values, signal_slopes, ("
-        + "".join(f"\n        lambda z: {row(w, 0, map_offsets)}," for w in range(d))
+        + kernel("map_values", 0)
+        + kernel("map_slopes", 1)
+        + "    return map_values, map_slopes, ("
+        + "".join(f"\n        lambda z: {row(w, 0)}," for w in range(d))
         + "\n    )\n"
     )
     namespace: Dict[str, Callable] = {}
     exec(compile(source, "<brouwer kernels>", "exec"), globals(), namespace)
-    return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(inputs), tuple(fan_in),
+    return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(inputs), tuple(sibling), fan_in,
                       jac_index, *namespace["kernels"](inst.oracle), source)
 
 

@@ -217,14 +217,6 @@ def build_constant_gadget(ledger: Optional[QueryLedger] = None) -> ConstantGadge
     return ConstantGadget(inst, zero_node="v9", one_node="v12")
 
 
-def build_constant_gadget_core(ledger: Optional[QueryLedger] = None) -> CircuitInstance:
-    """The 9-node core v1..v9 alone (pins v9 = 0)."""
-    gadget = build_constant_gadget(ledger)
-    gates = tuple(g for g in gadget.instance.gates if "v10" not in g.outputs and "v12" not in g.outputs)
-    nodes = tuple(f"v{i}" for i in range(1, 10))
-    return CircuitInstance(nodes=nodes, gates=gates, ledger=ledger or QueryLedger())
-
-
 def unary_decode(bits: Sequence[int], width: int) -> int:
     """Blockwise unary value: clamp(popcount, 1, width).
 

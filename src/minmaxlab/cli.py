@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import brouwer, gda, harness
-from .circuit import circuit_from_json, validate_instance
-from .config import DEFAULTS
+from .circuit import _json_list, _json_object, circuit_from_json, validate_instance
+from .config import DEFAULTS, whole_number
 
 
 def _dumps(payload) -> str:
@@ -221,15 +221,19 @@ def _cmd_query_report(args) -> int:
     totals: dict = {}
     reports = sorted(run_dir.rglob("report.json"))
     for rep_path in reports:
-        payload = json.loads(rep_path.read_text())
         # a report's run ledgers and instance ledgers are snapshots of one
         # ledger: its count is their max; counts then add across reports
-        snapshots = [run.get("ledger", {}) for run in payload.get("runs", [])]
-        snapshots += payload.get("ledgers", {}).values()
-        peak: dict = {}
-        for ledger in snapshots:
-            for key, value in ledger.items():
-                peak[key] = max(peak.get(key, 0), value)
+        try:
+            payload = _json_object(json.loads(rep_path.read_text()), "a report")
+            runs = _json_list(payload.get("runs", []), "'runs'")
+            snapshots = [_json_object(run, "a run").get("ledger", {}) for run in runs]
+            snapshots += _json_object(payload.get("ledgers", {}), "'ledgers'").values()
+            peak: dict = {}
+            for ledger in snapshots:
+                for key, value in _json_object(ledger, "a ledger").items():
+                    peak[key] = max(peak.get(key, 0), whole_number(value, f"ledger count {key!r}"))
+        except ValueError as exc:  # a JSONDecodeError too
+            raise ValueError(f"{rep_path}: {exc}") from None
         for key, value in peak.items():
             totals[key] = totals.get(key, 0) + value
     payload = {"reports": len(reports), "ledger_totals": totals}

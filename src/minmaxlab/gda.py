@@ -17,6 +17,8 @@ Per node v the construction uses
                  PURIFY (u -> w,.):  ell(E_u - 1/4)       (first output)
                  PURIFY (u -> .,w):  ell(E_u + 1/4)       (second output)
                  ORACLE (u_1..u_N -> w): interpolation of L at (E_{u_i})_i
+              so s_w = F_{sibling(w)}(E): F at the energies, with the two
+              outputs of each PURIFY gate swapped, read from F's kernels;
 and the objective
 
     f(x, y) = sum_w s_w * H_w + sum_w sum_i M_i ||x_i^w - y_i^w||^2,
@@ -239,14 +241,15 @@ def energy(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
     return float(block_energies(inst, x, y)[inst.bmap.index(node)])
 
 
-def _signals_from_energies(inst: GdaInstance, energies: np.ndarray) -> np.ndarray:
-    bmap = inst.bmap
-    return np.array(bmap.signal_values(energies.tolist()))
+def _signals_from_energies(bmap: BrouwerMap, energies: List[float]) -> List[float]:
+    """s_w = F_{sibling[w]}(E), in coordinate order."""
+    values = bmap.map_values(energies)
+    return [values[v] for v in bmap.sibling]
 
 
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = _check_pair(inst, x, y)
-    return _signals_from_energies(inst, block_energies(inst, x, y))
+    return np.array(_signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist()))
 
 
 def signal(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
@@ -282,8 +285,7 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     """Objective value; costs at most (n*m + 1) * |V| oracle queries."""
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("f_evals")
-    energies = block_energies(inst, x, y)
-    sig = _signals_from_energies(inst, energies)
+    sig = _signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist())
     H, _ = _gadgets_from_blocks(inst, inst.blocks(x), inst.blocks(y))
     return float(np.dot(sig, H)) + regularizer(inst, x, y)
 
@@ -301,7 +303,7 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     sq = _sqnorms(inst, x, y)
     energies = np.array([inst.energy_step(s) for s in sq])
     ephi1 = np.array([inst.energy_step.d1(s) for s in sq])
-    sig = _signals_from_energies(inst, energies)
+    sig = np.array(_signals_from_energies(inst.bmap, energies.tolist()))
 
     # Delta_q vanishes wherever the energy step sits on a plateau, which
     # is the common regime; the gadget values H (and their map queries)
@@ -311,11 +313,12 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     if np.any(ephi1 != 0.0):
         H, disp = _gadgets_from_blocks(inst, bx, by)
         bmap = inst.bmap
-        slopes = bmap.signal_slopes(energies.tolist())
-        # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order
+        slopes = bmap.map_slopes(energies.tolist())
+        # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order;
+        # ds_w/dE_q = dF_{sibling[w]}/dz_q, entry k of the map's slopes
         sens = [0] * inst.m
-        for (u, w), slope in zip(bmap.fan_in, slopes):
-            sens[u] += H[w] * slope
+        for u, w, k in bmap.fan_in:
+            sens[u] += H[w] * slopes[k]
         for q in range(inst.m):
             if ephi1[q] != 0.0:
                 delta_q[q] = ephi1[q] * sens[q]
@@ -437,50 +440,6 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
         violations=violations,
         warning=warning,
     )
-
-
-# ---------------------------------------------------------------------------
-# optional normalization wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NormalizedGda:
-    """Divides f and its gradient by a fixed scale; eps shrinks to match.
-
-    The raw instance remains the default interface; this wrapper exists
-    for consumers that want unit-bounded oracles.
-    """
-
-    inst: GdaInstance
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def eps(self) -> float:
-        return self.inst.params.eps / self.scale
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return eval_f(self.inst, x, y) / self.scale
-
-    def grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        gx, gy = eval_grad_f(self.inst, x, y)
-        return gx / self.scale, gy / self.scale
-
-
-def sample_scale(inst: GdaInstance, samples: int = 16, seed: int = 0) -> float:
-    """max over sampled points of (|f|, ||grad f||_inf), floored at 1."""
-    rng = np.random.default_rng(seed)
-    scale = 1.0
-    for _ in range(samples):
-        x = rng.random(inst.dim)
-        y = rng.random(inst.dim)
-        scale = max(scale, abs(eval_f(inst, x, y)))
-        gx, gy = eval_grad_f(inst, x, y)
-        scale = max(scale, float(np.max(np.abs(gx))), float(np.max(np.abs(gy))))
-    return scale
 
 
 # ---------------------------------------------------------------------------

@@ -219,21 +219,6 @@ def decode_sperner_to_fixed_point(sol: SpernerSolution, M: int) -> np.ndarray:
     return grid_to_cube(_grid_point(p, M, len(p)), M)
 
 
-def with_boundary_checks(inst: SpernerInstance) -> SpernerInstance:
-    """Wrapper that asserts the boundary conditions on every query."""
-
-    def checked(point: GridPoint) -> Tuple[int, ...]:
-        labels = inst.labeling(point)
-        for i, t in enumerate(point):
-            if t == 1 and labels[i] != 1:
-                raise AssertionError(f"boundary violated at {point}: coord {i} low face")
-            if t == inst.M and labels[i] != -1:
-                raise AssertionError(f"boundary violated at {point}: coord {i} high face")
-        return labels
-
-    return SpernerInstance(M=inst.M, d=inst.d, labeling=checked, ledger=inst.ledger)
-
-
 # ---------------------------------------------------------------------------
 # registered test maps (known sup-norm Lipschitz constants <= 2)
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ def oracle_attracting(table=(0, 0, 0, 1), ledger=None):
     )
 
 
+def build_constant_gadget_core(ledger=None):
+    """The 9-node core v1..v9 of the constant gadget alone (pins v9 = 0)."""
+    gadget = build_constant_gadget(ledger)
+    gates = tuple(g for g in gadget.instance.gates if "v10" not in g.outputs and "v12" not in g.outputs)
+    nodes = tuple(f"v{i}" for i in range(1, 10))
+    return CircuitInstance(nodes=nodes, gates=gates, ledger=ledger or QueryLedger())
+
+
 def every_instance():
     """(name, maker) for every circuit above with every oracle table, and the gadget."""
     cases = [("nor_loop", nor_loop), ("purify_loop", purify_loop)]

@@ -30,9 +30,11 @@ from minmaxlab.circuit import (
     purify,
 )
 from minmaxlab.config import DEFAULTS
+from minmaxlab.gda import _signals_from_energies
 from minmaxlab.smoothstep import ELL, G
 
 from circuits import every_instance, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+from test_kernels import signal_slopes
 
 
 class TestBuild:
@@ -65,8 +67,9 @@ def _knee_points():
 
 class TestGateTableKnees:
     """The kernels answer the plateaus without evaluating the step; their
-    values and slopes must be G, ELL, G.d1 and ELL.d1 bit for bit,
-    signed zeros included."""
+    values and slopes, and the min-max signals and signal slopes gda reads
+    from them, must be G, ELL, G.d1 and ELL.d1 bit for bit, signed zeros
+    included."""
 
     @staticmethod
     def bits(values):
@@ -81,11 +84,11 @@ class TestGateTableKnees:
         table = build_brouwer(nor_loop())
         z = [x - 0.25, x, 0.0]
         assert z[0] + 0.25 == x
-        values, signals = table.map_values(z), table.signal_values(z)
+        values, signals = table.map_values(z), _signals_from_energies(table, z)
         assert self.bits([values[0], values[1], signals[2]]) == self.bits([G(x), ELL(x), ELL(x)])
         assert self.bits(table.map_slopes(z)[:3]) == self.bits([G.d1(x), G.d1(x), ELL.d1(x)])
         # signal slopes run gate by gate: PURIFY(a -> b, c), then NOR(b, c -> a)
-        assert self.bits(table.signal_slopes(z)[1:]) == self.bits([ELL.d1(x), G.d1(x), G.d1(x)])
+        assert self.bits(signal_slopes(table, z)[1:]) == self.bits([ELL.d1(x), G.d1(x), G.d1(x)])
         assert self.bits([table.row_values[0](z), table.row_values[1](z)]) == self.bits([G(x), ELL(x)])
 
     @pytest.mark.parametrize("x", _knee_points())
@@ -93,14 +96,15 @@ class TestGateTableKnees:
         table = build_brouwer(nor_loop())
         z = [x - 0.25, x / 2.0, x / 2.0]
         slope = G.d1(z[1] + z[2])
-        for values, (first, second) in ((table.map_values, (0.25, -0.25)), (table.signal_values, (-0.25, 0.25))):
+        for values, (first, second) in ((table.map_values(z), (0.25, -0.25)),
+                                         (_signals_from_energies(table, z), (-0.25, 0.25))):
             expected = [G(z[1] + z[2]), ELL(z[0] + first), ELL(z[0] + second)]
-            assert self.bits(values(z)) == self.bits(expected)
+            assert self.bits(values) == self.bits(expected)
         assert self.bits([row(z) for row in table.row_values]) == self.bits(table.map_values(z))
         expected = [slope, slope, ELL.d1(z[0] + 0.25), ELL.d1(z[0] - 0.25)]
         assert self.bits(table.map_slopes(z)) == self.bits(expected)
         expected = [ELL.d1(z[0] - 0.25), ELL.d1(z[0] + 0.25), slope, slope]
-        assert self.bits(table.signal_slopes(z)) == self.bits(expected)
+        assert self.bits(signal_slopes(table, z)) == self.bits(expected)
 
     def test_plateaus_skip_the_step(self, monkeypatch):
         calls = []
@@ -110,8 +114,10 @@ class TestGateTableKnees:
         table = build_brouwer(nor_loop())
 
         def run_all(z):
-            for kernel in (table.map_values, table.map_slopes, table.signal_values, table.signal_slopes):
+            for kernel in (table.map_values, table.map_slopes):
                 kernel(z)
+            _signals_from_energies(table, z)
+            signal_slopes(table, z)
             for row in table.row_values:
                 row(z)
 
@@ -124,7 +130,7 @@ class TestGateTableKnees:
         # NOR and the offset +1/4 PURIFY output see 0.5; the other output 0
         table.map_values([0.25, 0.5, 0.0])
         assert calls == [0.5, 0.5]
-        table.signal_values([0.25, 0.5, 0.0])
+        _signals_from_energies(table, [0.25, 0.5, 0.0])
         assert calls == [0.5, 0.5, 0.5, 0.5]
         table.map_slopes([0.25, 0.5, 0.0])
         assert calls == [0.5] * 6

@@ -11,7 +11,6 @@ from minmaxlab.circuit import (
     CircuitInstance,
     Gate,
     build_constant_gadget,
-    build_constant_gadget_core,
     build_oracle_from_labeling,
     check_assignment,
     circuit_from_json,
@@ -26,7 +25,7 @@ from minmaxlab.config import whole_number
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.sperner import SpernerInstance
 
-from circuits import nor_loop, oracle_attracting, oracle_pair, purify_loop
+from circuits import build_constant_gadget_core, nor_loop, oracle_attracting, oracle_pair, purify_loop
 
 
 class TestLedger:

@@ -368,6 +368,42 @@ class TestSolve:
     def test_query_report_missing_dir(self):
         assert main(["query-report", "/nonexistent/dir"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",  # a list, not a report object
+            '{"runs": ["pgda"]}',  # a run that is a string
+            '{"runs": {"ledger": {"L": 3}}}',  # runs as an object
+            '{"runs": [{"ledger": [3]}]}',  # a ledger that is a list
+            '{"runs": [{"ledger": {"L": "3"}}]}',  # a count given as a string
+            '{"runs": [{"ledger": {"L": 2.5}}]}',
+            '{"runs": [{"ledger": {"L": -1}}]}',
+            '{"ledgers": [{"L": 3}]}',
+            '{"ledgers": {"instance": {"L": null}}}',
+            "{not json",
+        ],
+    )
+    def test_query_report_malformed_report(self, tmp_path, capsys, text):
+        good = tmp_path / "a" / "report.json"
+        good.parent.mkdir()
+        good.write_text('{"runs": [{"ledger": {"L": 3}}], "ledgers": {"instance": {"L": 4}}}')
+        bad = tmp_path / "b" / "report.json"
+        bad.parent.mkdir()
+        bad.write_text(text)
+        assert main(["query-report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_query_report_accepts_whole_counts(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text(
+            '{"runs": [{"ledger": {"L": 3.0, "F_evals": 2}}, {}], "ledgers": {"instance": {"L": 4}}}'
+        )
+        assert main(["query-report", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"reports": 1, "ledger_totals": {"L": 4, "F_evals": 2}}
+
 
 def test_import_leaves_networkx_unloaded():
     # networkx is a test-only reference for the feedback cut, never a

@@ -1,6 +1,8 @@
-"""The generated kernels of BrouwerMap against the interpreted per-row
-loops they replaced, bit for bit and query for query."""
+"""The generated kernels of BrouwerMap, and the min-max signals gda
+reads from them, against the interpreted per-row loops they replaced,
+bit for bit and query for query."""
 
+import dataclasses
 import io
 import math
 import tokenize
@@ -13,6 +15,7 @@ from minmaxlab import brouwer
 from minmaxlab.boolinterp import BoolOracle, interp_eval, interp_grad
 from minmaxlab.brouwer import build_brouwer, eval_component, eval_F, eval_JF
 from minmaxlab.circuit import NOR, ORACLE, PURIFY, CircuitInstance, nor, oracle_gate, purify
+from minmaxlab.gda import _signals_from_energies
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.smoothstep import ELL, G
 
@@ -24,7 +27,9 @@ _ELL_PLATEAU = ELL.plateau()
 
 class ReferenceTable:
     """The gate table build_brouwer made, and the loops BrouwerMap.values
-    and BrouwerMap.slopes ran, before the kernels were generated."""
+    and BrouwerMap.slopes ran, before the kernels were generated.  The
+    signals ran the same loops with ``signal_offsets`` (each PURIFY
+    gate's offsets swapped), their slopes gate by gate in ``gate_order``."""
 
     def __init__(self, inst: CircuitInstance) -> None:
         positions = {v: i for i, v in enumerate(inst.nodes)}
@@ -89,6 +94,13 @@ class ReferenceTable:
         return out
 
 
+def signal_slopes(bmap, energies: Sequence[float]) -> List[float]:
+    """ds_w/dE_u for each fan-in edge (u, w, k), in gate order, read as
+    eval_grad_f reads them: entry k of the map's slopes at the energies."""
+    slopes = bmap.map_slopes(energies)
+    return [slopes[k] for _, _, k in bmap.fan_in]
+
+
 def bits(values) -> List[str]:
     """repr of each value: equal lists mean equal types and equal bits,
     signed zeros included."""
@@ -142,8 +154,8 @@ class TestKernelsMatchTheReference:
         cases = (
             (bmap.map_values, ref.values, ref.map_offsets, rows),
             (bmap.map_slopes, ref.slopes, ref.map_offsets, rows),
-            (bmap.signal_values, ref.values, ref.signal_offsets, rows),
-            (bmap.signal_slopes, ref.slopes, ref.signal_offsets, ref.gate_order),
+            (lambda z: _signals_from_energies(bmap, z), ref.values, ref.signal_offsets, rows),
+            (lambda z: signal_slopes(bmap, z), ref.slopes, ref.signal_offsets, ref.gate_order),
         )
         for z in _points(d, seed=d, count=60):
             for kernel, loop, offsets, order in cases:
@@ -172,7 +184,38 @@ class TestKernelsMatchTheReference:
     def test_gate_order_slopes_follow_fan_in(self):
         bmap = build_brouwer(oracle_purify())
         ref = ReferenceTable(oracle_purify())
-        assert bmap.fan_in == tuple((u, w) for w in ref.gate_order for u in ref.inputs[w])
+        assert tuple((u, w) for u, w, _ in bmap.fan_in) == tuple((u, w) for w in ref.gate_order for u in ref.inputs[w])
+        # PURIFY(b -> a, c) then ORACLE((a, c) -> b): map_slopes holds
+        # dF_a/dz_b, dF_b/dz_a, dF_b/dz_c, dF_c/dz_b
+        assert bmap.sibling == (2, 1, 0)
+        assert bmap.fan_in == ((1, 0, 3), (1, 2, 0), (0, 1, 1), (2, 1, 2))
+
+    @pytest.mark.parametrize("make", _instances())
+    def test_sibling_is_the_other_purify_output(self, make):
+        inst = make()
+        bmap, ref = build_brouwer(inst), ReferenceTable(inst)
+        for w, v in enumerate(bmap.sibling):
+            assert bmap.sibling[v] == w and bmap.inputs[v] == bmap.inputs[w]
+            assert ref.signal_offsets[w] == ref.map_offsets[v]
+            assert (v != w) == (ref.kinds[w] == PURIFY)
+
+
+def test_a_wrong_sibling_changes_the_signals():
+    """The identity in place of nor_loop's siblings, with each slope index
+    pointing at the edge's own row, gives each PURIFY output its own map
+    value and slope, not its sibling's."""
+    bmap, ref = build_brouwer(nor_loop()), ReferenceTable(nor_loop())
+    # PURIFY(a -> b, c) then NOR(b, c -> a); map_slopes holds
+    # dF_a/dz_b, dF_a/dz_c, dF_b/dz_a, dF_c/dz_a
+    assert bmap.sibling == (0, 2, 1)
+    assert bmap.fan_in == ((0, 1, 3), (0, 2, 2), (1, 0, 0), (2, 0, 1))
+    wrong = dataclasses.replace(bmap, sibling=(0, 1, 2), fan_in=((0, 1, 2), (0, 2, 3), (1, 0, 0), (2, 0, 1)))
+    e = [0.25, 0.25, 0.25]  # NOR sum 1/2, PURIFY inputs 1/2 and 0
+    assert bits(_signals_from_energies(bmap, e)) == bits(ref.values(e, ref.signal_offsets, range(3)))
+    assert bits(signal_slopes(bmap, e)) == bits(ref.slopes(e, ref.signal_offsets, ref.gate_order))
+    assert bits(_signals_from_energies(wrong, e)) == bits(ref.values(e, ref.map_offsets, range(3)))
+    assert bits(_signals_from_energies(wrong, e)) != bits(_signals_from_energies(bmap, e))
+    assert bits(signal_slopes(wrong, e)) != bits(signal_slopes(bmap, e))
 
 
 def long_chain(blocks: int) -> CircuitInstance:
@@ -197,8 +240,8 @@ def test_long_chain_compiles_and_matches():
     for z in _points(bmap.dim, seed=5, count=3):
         assert bits(bmap.map_values(z)) == bits(ref.values(z, ref.map_offsets, range(bmap.dim)))
         assert bits(bmap.map_slopes(z)) == bits(ref.slopes(z, ref.map_offsets, range(bmap.dim)))
-        assert bits(bmap.signal_values(z)) == bits(ref.values(z, ref.signal_offsets, range(bmap.dim)))
-        assert bits(bmap.signal_slopes(z)) == bits(ref.slopes(z, ref.signal_offsets, ref.gate_order))
+        assert bits(_signals_from_energies(bmap, z)) == bits(ref.values(z, ref.signal_offsets, range(bmap.dim)))
+        assert bits(signal_slopes(bmap, z)) == bits(ref.slopes(z, ref.signal_offsets, ref.gate_order))
 
 
 class TestNodeNamesNeverBecomeCode:
@@ -220,7 +263,7 @@ class TestNodeNamesNeverBecomeCode:
     # template keywords, the steps and the interpolation
     ALLOWED = {
         "def", "return", "lambda", "if", "else", "or",
-        "kernels", "map_values", "map_slopes", "signal_values", "signal_slopes", "L", "z", "x", "s",
+        "kernels", "map_values", "map_slopes", "L", "z", "x", "s",
         "G", "ELL", "d1", "interp_eval", "interp_grad", "tolist",
     }
 
@@ -261,8 +304,8 @@ class TestModuleGlobalsAtCallTime:
         eval_F(bmap, z)
         eval_JF(bmap, z)
         eval_component(bmap, 1, z.tolist())
-        bmap.signal_values(z.tolist())
-        bmap.signal_slopes(z.tolist())
+        _signals_from_energies(bmap, z.tolist())
+        signal_slopes(bmap, z.tolist())
         assert seen == ["interp_eval", "interp_grad", "interp_eval", "interp_eval", "interp_grad"]
 
     def test_band_rows_call_the_patched_steps(self, monkeypatch):

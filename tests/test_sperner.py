@@ -17,8 +17,22 @@ from minmaxlab.sperner import (
     grid_to_cube,
     make_brouwer_labeling,
     verify_sperner_solution,
-    with_boundary_checks,
 )
+
+
+def with_boundary_checks(inst: SpernerInstance) -> SpernerInstance:
+    """Wrapper that asserts the boundary conditions on every query."""
+
+    def checked(point):
+        labels = inst.labeling(point)
+        for i, t in enumerate(point):
+            if t == 1 and labels[i] != 1:
+                raise AssertionError(f"boundary violated at {point}: coord {i} low face")
+            if t == inst.M and labels[i] != -1:
+                raise AssertionError(f"boundary violated at {point}: coord {i} high face")
+        return labels
+
+    return SpernerInstance(M=inst.M, d=inst.d, labeling=checked, ledger=inst.ledger)
 
 
 def tiny_1d_instance():
