@@ -97,9 +97,6 @@ class Assignment:
     def __getitem__(self, node: str) -> Optional[int]:
         return self.values[node]
 
-    def is_pure(self, node: str) -> bool:
-        return self.values[node] in (0, 1)
-
     @staticmethod
     def constant(nodes: Sequence[str], value: Optional[int]) -> "Assignment":
         return Assignment({v: value for v in nodes})
@@ -336,11 +333,16 @@ def _node_names(value, key: str) -> Tuple[str, ...]:
     return _name_list(names, f"gate {key!r} must be a node name or a list of node names")
 
 
-def circuit_from_json(text: str, ledger: Optional[QueryLedger] = None) -> CircuitInstance:
-    """Instance from circuit JSON.  Gates are taken as written; their shape
-    (inputs and outputs per kind) is left to validate_instance."""
-    payload = _json_object(json.loads(text), "a circuit file")
-    ledger = ledger or QueryLedger()
+def circuit_from_json(text: str) -> CircuitInstance:
+    """Instance from circuit JSON text; see circuit_from_payload."""
+    return circuit_from_payload(json.loads(text))
+
+
+def circuit_from_payload(payload) -> CircuitInstance:
+    """Instance from parsed circuit JSON.  Gates are taken as written; their
+    shape (inputs and outputs per kind) is left to validate_instance."""
+    payload = _json_object(payload, "a circuit")
+    ledger = QueryLedger()
     gates = []
     for item in _json_list(payload["gates"], "'gates'"):
         kind = _json_object(item, "each gate")["type"]

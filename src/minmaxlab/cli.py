@@ -1,12 +1,17 @@
 """Command-line interface.
 
 Subcommands:
-  build-brouwer <circuit.json>     validate a circuit and report its map
-  build-gda <descriptor.json>      build a min-max instance and report it
+  build-brouwer <circuit>          validate a circuit and report its map
+  build-gda <descriptor>           build a min-max instance and report it
   verify <instance> <point-file>   check a candidate solution
   grad-check <instance>            finite-difference gradient audit
-  solve <instance>                 run pgda / extragradient / grid search
+  solve <descriptor>               run pgda / extragradient / grid search
   query-report <run-dir>           aggregate ledger totals from reports
+
+An instance file is read once, and one rule decides its kind: a JSON
+object with a "circuit" key is a min-max descriptor, anything else is a
+circuit.  verify and grad-check take either kind, build-brouwer only a
+circuit, build-gda and solve only a descriptor; the wrong kind exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The report directory can be overridden with $MINMAXLAB_REPORT_DIR.
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import brouwer, gda, harness
-from .circuit import _json_list, _json_object, circuit_from_json, validate_instance
+from .circuit import _json_list, _json_object, check_assignment, circuit_from_payload, circuit_to_json, validate_instance
 from .config import DEFAULTS, whole_number
 
 
@@ -42,17 +47,27 @@ def _load_points(path: Path, expected: int) -> np.ndarray:
     return vec
 
 
-def _is_gda_descriptor(path: Path) -> bool:
+def _load_instance(path: str, only: Optional[str] = None):
+    """The instance in the file at ``path``: a gda.GdaInstance for a min-max
+    descriptor, else a CircuitInstance.  A kind other than ``only`` ("circuit"
+    or "descriptor") is rejected before anything is built.  Errors start with the path."""
+    path = Path(path)
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})")
-    return isinstance(payload, dict) and "mode" in payload
+        kind = "descriptor" if isinstance(payload, dict) and "circuit" in payload else "circuit"
+        if only not in (None, kind):
+            raise ValueError(f'a {kind}, not a {only}: a JSON object with a "circuit" key is a descriptor')
+        if kind == "circuit":
+            return circuit_from_payload(payload)
+        return gda.gda_from_descriptor(payload, path.parent)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (ValueError, OSError) as exc:  # a JSONDecodeError too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_build_brouwer(args) -> int:
-    path = Path(args.circuit)
-    circuit = circuit_from_json(path.read_text())
+    circuit = _load_instance(args.circuit, "circuit")
     violations = validate_instance(circuit)
     if violations:
         print(_dumps({"valid": False, "violations": violations}))
@@ -64,14 +79,12 @@ def _cmd_build_brouwer(args) -> int:
     summary = {"valid": True, "dim": bmap.dim, "nodes": len(circuit.nodes), "gates": kinds}
     print(_dumps(summary))
     if args.out:
-        from .circuit import circuit_to_json
-
         Path(args.out).write_text(circuit_to_json(circuit))
     return 0
 
 
 def _cmd_build_gda(args) -> int:
-    inst = gda.load_gda_descriptor(args.descriptor)
+    inst = _load_instance(args.descriptor, "descriptor")
     summary = {
         "dim_per_player": inst.dim,
         "nodes": inst.m,
@@ -85,10 +98,9 @@ def _cmd_build_gda(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst_path = Path(args.instance)
+    inst = _load_instance(args.instance)
     point_path = Path(args.points)
-    if _is_gda_descriptor(inst_path):
-        inst = gda.load_gda_descriptor(inst_path)
+    if isinstance(inst, gda.GdaInstance):
         vec = _load_points(point_path, 2 * inst.dim)
         x, y = vec[: inst.dim], vec[inst.dim:]
         result = gda.dichotomy_extract(inst, x, y)
@@ -114,15 +126,12 @@ def _cmd_verify(args) -> int:
             payload["violations"] = [g.label() for g in result.violations]
         print(_dumps(payload))
         return 0 if result.gap_ok else 1
-    circuit = circuit_from_json(inst_path.read_text())
-    bmap = brouwer.build_brouwer(circuit)
+    bmap = brouwer.build_brouwer(inst)
     z = _load_points(point_path, bmap.dim)
     res = brouwer.residual(bmap, z)
     ok = res <= DEFAULTS.brouwer_eps
     assignment = brouwer.decode_brouwer(bmap, z)
-    from .circuit import check_assignment
-
-    violations = check_assignment(circuit, assignment)
+    violations = check_assignment(inst, assignment)
     payload = {
         "residual": res,
         "ok": ok,
@@ -136,14 +145,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    inst_path = Path(args.instance)
     rng = np.random.default_rng(args.seed)
     h = args.h
     harness.check_fd_step(h)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    if _is_gda_descriptor(inst_path):
-        inst = gda.load_gda_descriptor(inst_path)
+    inst = _load_instance(args.instance)
+    if isinstance(inst, gda.GdaInstance):
         dim = 2 * inst.dim
 
         def value_fn(vec: np.ndarray) -> float:
@@ -153,7 +161,7 @@ def _cmd_grad_check(args) -> int:
             gx, gy = gda.eval_grad_f(inst, vec[: inst.dim], vec[inst.dim:])
             return np.concatenate([gx, gy])
     else:
-        bmap = brouwer.build_brouwer(circuit_from_json(inst_path.read_text()))
+        bmap = brouwer.build_brouwer(inst)
         dim = bmap.dim
 
         def value_fn(z: np.ndarray) -> np.ndarray:
@@ -177,10 +185,7 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst_path = Path(args.instance)
-    if not _is_gda_descriptor(inst_path):
-        raise ValueError("solve expects a min-max instance descriptor")
-    inst = gda.load_gda_descriptor(inst_path)
+    inst = _load_instance(args.instance, "descriptor")
     obj = harness.GdaObjective(inst)
     if args.algo == "grid":
         x, y, gap = harness.grid_search_stationary(obj, args.resolution)
@@ -275,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gap-every", type=int, default=100)
-    p.add_argument("--resolution", type=int, default=11)
+    p.add_argument("--resolution", type=int, default=2, help="grid points per coordinate (default 2: a grid has resolution"
+                   f"^coordinates points, at most {DEFAULTS.grid_search_budget:,}, and the smallest instance has 16 coordinates)")
     p.add_argument("--out", default=None, help="report directory")
     p.set_defaults(func=_cmd_solve)
 

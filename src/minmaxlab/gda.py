@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -66,8 +66,9 @@ from .circuit import (
     Assignment,
     CircuitInstance,
     Gate,
+    _json_object,
     check_assignment,
-    circuit_from_json,
+    circuit_from_payload,
 )
 from .config import DEFAULTS, whole_number
 from .ledger import QueryLedger
@@ -91,16 +92,7 @@ class GdaParams:
     log2_n: float
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "m": self.m,
-            "rho": self.rho,
-            "delta": self.delta,
-            "n": self.n if self.feasible else None,
-            "eps": self.eps,
-            "mode": self.mode,
-            "feasible": self.feasible,
-            "log2_n": self.log2_n,
-        }
+        return asdict(self) | {"n": self.n if self.feasible else None}
 
 
 def derive_parameters(
@@ -447,19 +439,19 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
 # ---------------------------------------------------------------------------
 
 def load_gda_descriptor(path: str | Path) -> GdaInstance:
-    """Instance from a JSON descriptor:
+    """Instance from the descriptor file at ``path``; see gda_from_descriptor."""
+    return gda_from_descriptor(json.loads(Path(path).read_text()), Path(path).parent)
 
-    {"circuit": <relative path or inline circuit object>,
-     "mode": "scaled", "delta": .., "n": .., "eps": .., "rho": ..}
-    """
-    path = Path(path)
-    desc = json.loads(path.read_text())
+
+def gda_from_descriptor(desc, base: Path) -> GdaInstance:
+    """Instance from a parsed descriptor {"circuit": <path relative to ``base``
+    or inline circuit object>, "mode": "scaled" (the default) or "paper",
+    "delta": .., "n": .., "eps": .., "rho": ..}."""
+    desc = _json_object(desc, "a min-max descriptor")
     circ_ref = desc["circuit"]
     if isinstance(circ_ref, str):
-        circ_text = (path.parent / circ_ref).read_text()
-    else:
-        circ_text = json.dumps(circ_ref)
-    circuit = circuit_from_json(circ_text)
+        circ_ref = json.loads((base / circ_ref).read_text())
+    circuit = circuit_from_payload(circ_ref)
     params = derive_parameters(
         m=len(circuit.nodes),
         rho=desc.get("rho", DEFAULTS.default_rho),

@@ -313,19 +313,18 @@ class TestSolve:
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
 
-    def test_grid_algo_on_tiny_instance(self, tmp_path, capsys):
-        from minmaxlab.circuit import circuit_to_json as to_json
-        from circuits import oracle_pair
-
+    @pytest.mark.parametrize("flags", [["--resolution", "2"], []], ids=["resolution-2", "default"])
+    def test_grid_algo_on_tiny_instance(self, tmp_path, capsys, flags):
+        # 2 nodes at n = 2: 16 coordinates, so 2 is the only resolution within budget
         circ = tmp_path / "pair.json"
-        circ.write_text(to_json(oracle_pair()))
+        circ.write_text(circuit_to_json(oracle_pair()))
         desc = tmp_path / "pair_gda.json"
         desc.write_text(
             json.dumps(
                 {"circuit": "pair.json", "mode": "scaled", "delta": 0.05, "n": 2, "eps": 1e-4}
             )
         )
-        assert main(["solve", str(desc), "--algo", "grid", "--resolution", "2"]) == 0
+        assert main(["solve", str(desc), "--algo", "grid"] + flags) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["algorithm"] == "grid"
         assert "gap" in out
@@ -403,6 +402,80 @@ class TestSolve:
         assert main(["query-report", str(tmp_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"reports": 1, "ledger_totals": {"L": 4, "F_evals": 2}}
+
+
+FILE_KINDS = ["circuit", "descriptor-path", "descriptor-inline", "descriptor-no-mode",
+              "list", "mode-only", "not-json", "missing"]
+DESCRIPTORS = {"descriptor-path", "descriptor-inline", "descriptor-no-mode"}
+# exit code of each command on each kind of file; every kind not listed exits 2
+EXIT_CODES = {
+    "build-brouwer": {"circuit": 0},
+    "build-gda": dict.fromkeys(DESCRIPTORS, 0),
+    "verify": {"circuit": 0, **dict.fromkeys(DESCRIPTORS, 0)},
+    "grad-check": {"circuit": 0, **dict.fromkeys(DESCRIPTORS, 0)},
+    "solve": dict.fromkeys(DESCRIPTORS, 0),
+}
+
+
+class TestInstanceFiles:
+    """Every command reads its instance file by one rule: a JSON object with
+    a "circuit" key is a min-max descriptor, anything else is a circuit."""
+
+    @staticmethod
+    def _write(tmp_path: Path, kind: str) -> Path:
+        pair = circuit_to_json(oracle_pair())
+        (tmp_path / "pair.json").write_text(pair)
+        params = {"delta": 0.05, "n": 2, "eps": 1e-4}
+        contents = {
+            "descriptor-path": {"circuit": "pair.json", "mode": "scaled", **params},
+            "descriptor-inline": {"circuit": json.loads(pair), "mode": "scaled", **params},
+            "descriptor-no-mode": {"circuit": "pair.json", **params},
+            "list": [1],
+            "mode-only": {"mode": "scaled"},
+        }
+        if kind == "circuit":
+            return tmp_path / "pair.json"
+        path = tmp_path / f"{kind}.json"
+        if kind == "not-json":
+            path.write_text("{not json")
+        elif kind != "missing":
+            path.write_text(json.dumps(contents[kind]))
+        return path
+
+    @staticmethod
+    def _argv(tmp_path: Path, command: str, path: Path, kind: str) -> list:
+        # oracle_pair's exact fixed point is (1/2, 1/2), tiled for the descriptors
+        points = tmp_path / "points.csv"
+        points.write_text(",".join(["0.5"] * (16 if kind in DESCRIPTORS else 2)) + "\n")
+        extra = {
+            "verify": [str(points)],
+            "grad-check": ["--points", "1"],
+            "solve": ["--algo", "pgda", "--steps", "5", "--out", str(tmp_path / "reports")],
+        }
+        return [command, str(path)] + extra.get(command, [])
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    @pytest.mark.parametrize("command", sorted(EXIT_CODES))
+    def test_exit_code(self, tmp_path, capsys, command, kind):
+        path = self._write(tmp_path, kind)
+        code = main(self._argv(tmp_path, command, path, kind))
+        assert code == EXIT_CODES[command].get(kind, 2)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: ")
+            assert "Traceback" not in captured.err
+        else:
+            assert json.loads(captured.out)
+
+    @pytest.mark.parametrize("command", ["build-gda", "verify", "grad-check", "solve"])
+    def test_descriptor_without_mode_is_scaled(self, tmp_path, capsys, command):
+        outputs = []
+        for kind in ("descriptor-path", "descriptor-no-mode"):
+            path = self._write(tmp_path, kind)
+            assert main(self._argv(tmp_path, command, path, kind)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_networkx_unloaded():
