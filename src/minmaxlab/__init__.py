@@ -22,11 +22,9 @@ from .brouwer import (
     cycle_cut_solve,
     damped_iteration,
     decode_brouwer,
-    displacement,
     eval_F,
     eval_JF,
     find_fixed_point,
-    verify_brouwer_solution,
     write_residual_trace,
 )
 from .circuit import (

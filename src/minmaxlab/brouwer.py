@@ -205,10 +205,6 @@ def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
     return zl
 
 
-def eval_component(bmap: BrouwerMap, node_idx: int, z: Sequence[float]) -> float:
-    return bmap.row_values[node_idx](z)
-
-
 def eval_F(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     """F(z); at most one oracle query per ORACLE coordinate."""
     zl = _check_domain(bmap, z)
@@ -224,11 +220,6 @@ def eval_JF(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
     jac = np.zeros(d * d)
     jac[bmap.jac_index] = bmap.map_slopes(zl)
     return jac.reshape(d, d)
-
-
-def displacement(bmap: BrouwerMap, z: np.ndarray) -> np.ndarray:
-    """F(z) - z."""
-    return eval_F(bmap, z) - np.asarray(z, dtype=float)
 
 
 def residual(bmap: BrouwerMap, z: np.ndarray) -> float:
@@ -247,12 +238,6 @@ def decode_brouwer(bmap: BrouwerMap, z: np.ndarray) -> Assignment:
         else:
             values[node] = BOT
     return Assignment(values)
-
-
-def verify_brouwer_solution(
-    bmap: BrouwerMap, z: np.ndarray, eps: float = DEFAULTS.brouwer_eps
-) -> bool:
-    return residual(bmap, z) <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +386,7 @@ def _propagate(bmap: BrouwerMap, cut: Sequence[int], order: Sequence[int], cut_v
     for pos, node in enumerate(cut):
         z[node] = float(cut_values[pos])
     for node in order:
-        z[node] = eval_component(bmap, node, z)
+        z[node] = bmap.row_values[node](z)
     return np.array(z)
 
 
@@ -428,7 +413,7 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
 
     def reduced(c: np.ndarray) -> np.ndarray:
         z = _propagate(bmap, cut, order, c)
-        return np.array([eval_component(bmap, node, z) for node in cut])
+        return np.array([bmap.row_values[node](z) for node in cut])
 
     if len(cut) == 1:
         lo, hi = 0.0, 1.0

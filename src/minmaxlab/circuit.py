@@ -28,9 +28,10 @@ malformed selectors return 0 without consuming any lambda query.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .boolinterp import BoolOracle
 from .config import whole_number
@@ -278,7 +279,30 @@ def circuit_to_json(inst: CircuitInstance) -> str:
         "gates": gates_json,
         "oracle": inst.oracle_spec,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _not_strict(token: str) -> NoReturn:
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _json_loads(text: str):
+    """Strict JSON: the constants NaN, Infinity and -Infinity raise ValueError."""
+    return json.loads(text, parse_constant=_not_strict)
+
+
+@contextmanager
+def _naming(path) -> Iterator[None]:
+    """Re-raise a ValueError, OSError or KeyError from the block as one
+    ValueError that starts with ``path``, so an error names its file once."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_object(value, what: str) -> dict:
@@ -335,7 +359,7 @@ def _node_names(value, key: str) -> Tuple[str, ...]:
 
 def circuit_from_json(text: str) -> CircuitInstance:
     """Instance from circuit JSON text; see circuit_from_payload."""
-    return circuit_from_payload(json.loads(text))
+    return circuit_from_payload(_json_loads(text))
 
 
 def circuit_from_payload(payload) -> CircuitInstance:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,7 +29,16 @@ from typing import Optional
 import numpy as np
 
 from . import brouwer, gda, harness
-from .circuit import _json_list, _json_object, check_assignment, circuit_from_payload, circuit_to_json, validate_instance
+from .circuit import (
+    _json_list,
+    _json_loads,
+    _json_object,
+    _naming,
+    check_assignment,
+    circuit_from_payload,
+    circuit_to_json,
+    validate_instance,
+)
 from .config import DEFAULTS, whole_number
 
 
@@ -52,18 +62,14 @@ def _load_instance(path: str, only: Optional[str] = None):
     descriptor, else a CircuitInstance.  A kind other than ``only`` ("circuit"
     or "descriptor") is rejected before anything is built.  Errors start with the path."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
+    with _naming(path):
+        payload = _json_loads(path.read_text())
         kind = "descriptor" if isinstance(payload, dict) and "circuit" in payload else "circuit"
         if only not in (None, kind):
             raise ValueError(f'a {kind}, not a {only}: a JSON object with a "circuit" key is a descriptor')
         if kind == "circuit":
             return circuit_from_payload(payload)
         return gda.gda_from_descriptor(payload, path.parent)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (ValueError, OSError) as exc:  # a JSONDecodeError too
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_build_brouwer(args) -> int:
@@ -147,9 +153,11 @@ def _cmd_verify(args) -> int:
 def _cmd_grad_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     h = args.h
-    harness.check_fd_step(h)
+    harness.check_fd_step(h, "--h")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not 0 <= args.tol < math.inf:  # NaN fails
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     inst = _load_instance(args.instance)
     if isinstance(inst, gda.GdaInstance):
         dim = 2 * inst.dim
@@ -228,8 +236,8 @@ def _cmd_query_report(args) -> int:
     for rep_path in reports:
         # a report's run ledgers and instance ledgers are snapshots of one
         # ledger: its count is their max; counts then add across reports
-        try:
-            payload = _json_object(json.loads(rep_path.read_text()), "a report")
+        with _naming(rep_path):
+            payload = _json_object(_json_loads(rep_path.read_text()), "a report")
             runs = _json_list(payload.get("runs", []), "'runs'")
             snapshots = [_json_object(run, "a run").get("ledger", {}) for run in runs]
             snapshots += _json_object(payload.get("ledgers", {}), "'ledgers'").values()
@@ -237,8 +245,6 @@ def _cmd_query_report(args) -> int:
             for ledger in snapshots:
                 for key, value in _json_object(ledger, "a ledger").items():
                     peak[key] = max(peak.get(key, 0), whole_number(value, f"ledger count {key!r}"))
-        except ValueError as exc:  # a JSONDecodeError too
-            raise ValueError(f"{rep_path}: {exc}") from None
         for key, value in peak.items():
             totals[key] = totals.get(key, 0) + value
     payload = {"reports": len(reports), "ledger_totals": totals}
@@ -296,7 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,6 @@ only be built in "scaled" mode (user-supplied delta, even n, eps).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Real
@@ -66,7 +65,9 @@ from .circuit import (
     Assignment,
     CircuitInstance,
     Gate,
+    _json_loads,
     _json_object,
+    _naming,
     check_assignment,
     circuit_from_payload,
 )
@@ -250,17 +251,19 @@ def signal(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
     return float(signals(inst, x, y)[inst.bmap.index(node)])
 
 
-def _gadgets_from_blocks(
-    inst: GdaInstance, bx: np.ndarray, by: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-node H_v plus the displacements G(xi) of every replica, (|V|, n, m)."""
+def _displacements(inst: GdaInstance, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """G(xi) = F(xi) - xi at the replica midpoints xi = (bx + by) / 2, one eval_F each, in order."""
     xi = 0.5 * (bx + by)
-    disp = np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
+    return np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
+
+
+def _gadgets(disp: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """H_v = sum_i <G(xi), y_i^v - x_i^v> from the (|V|, n, m) displacements."""
     dots = np.matmul(disp[..., None, :], (by - bx)[..., :, None])[..., 0, 0]
-    H = np.zeros(inst.m)
+    H = np.zeros(len(dots))
     for col in dots.T:  # replica by replica, the summation order of H_v
         H += col
-    return H, disp
+    return H
 
 
 def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
@@ -278,7 +281,8 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("f_evals")
     sig = _signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist())
-    H, _ = _gadgets_from_blocks(inst, inst.blocks(x), inst.blocks(y))
+    bx, by = inst.blocks(x), inst.blocks(y)
+    H = _gadgets(_displacements(inst, bx, by), bx, by)
     return float(np.dot(sig, H)) + regularizer(inst, x, y)
 
 
@@ -292,41 +296,37 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("grad_f_evals")
     bx, by = inst.blocks(x), inst.blocks(y)
+    m, bmap = inst.m, inst.bmap
     sq = _sqnorms(inst, x, y)
     energies = np.array([inst.energy_step(s) for s in sq])
     ephi1 = np.array([inst.energy_step.d1(s) for s in sq])
-    sig = np.array(_signals_from_energies(inst.bmap, energies.tolist()))
+    sig = np.array(_signals_from_energies(bmap, energies.tolist()))
 
     # Delta_q vanishes wherever the energy step sits on a plateau, which
     # is the common regime; the gadget values H (and their map queries)
     # are needed only when some block is in transition.
-    delta_q = np.zeros(inst.m)
-    disp = None
+    delta_q = np.zeros(m)
+    live = np.flatnonzero(sig != 0.0)  # a zero signal silences a block's gadget term
     if np.any(ephi1 != 0.0):
-        H, disp = _gadgets_from_blocks(inst, bx, by)
-        bmap = inst.bmap
+        disp = _displacements(inst, bx, by)
+        H = _gadgets(disp, bx, by)
         slopes = bmap.map_slopes(energies.tolist())
         # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order;
         # ds_w/dE_q = dF_{sibling[w]}/dz_q, entry k of the map's slopes
-        sens = [0] * inst.m
+        sens = [0] * m
         for u, w, k in bmap.fan_in:
             sens[u] += H[w] * slopes[k]
-        for q in range(inst.m):
+        for q in range(m):
             if ephi1[q] != 0.0:
                 delta_q[q] = ephi1[q] * sens[q]
+        gvec = disp[live]
+    else:
+        gvec = _displacements(inst, bx[live], by[live])
 
     coupling = 2.0 * (inst.weights[None, :, None] + delta_q[:, None, None]) * (bx - by)
     gx, gy = coupling.copy(), -coupling
-    # blocks with a silenced gadget term (zero signal) need no map queries
-    live = np.flatnonzero(sig != 0.0)
-    m, bmap = inst.m, inst.bmap
-    xi = 0.5 * (bx[live] + by[live])
-    points = xi.reshape(-1, m)
-    if disp is None:
-        gvec = np.array([eval_F(bmap, p) for p in points]).reshape(xi.shape) - xi
-    else:
-        gvec = disp[live]
-    jac_g = np.array([eval_JF(bmap, p) for p in points]).reshape(xi.shape + (m,)) - np.eye(m)
+    points = (0.5 * (bx[live] + by[live])).reshape(-1, m)
+    jac_g = np.array([eval_JF(bmap, p) for p in points]).reshape(gvec.shape + (m,)) - np.eye(m)
     rrow = np.matmul((0.5 * (by[live] - bx[live]))[..., None, :], jac_g)[..., 0, :]
     s = sig[live][:, None, None]
     gx[live] = s * (-gvec + rrow) + coupling[live]
@@ -440,18 +440,21 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
 
 def load_gda_descriptor(path: str | Path) -> GdaInstance:
     """Instance from the descriptor file at ``path``; see gda_from_descriptor."""
-    return gda_from_descriptor(json.loads(Path(path).read_text()), Path(path).parent)
+    return gda_from_descriptor(_json_loads(Path(path).read_text()), Path(path).parent)
 
 
 def gda_from_descriptor(desc, base: Path) -> GdaInstance:
     """Instance from a parsed descriptor {"circuit": <path relative to ``base``
     or inline circuit object>, "mode": "scaled" (the default) or "paper",
-    "delta": .., "n": .., "eps": .., "rho": ..}."""
+    "delta": .., "n": .., "eps": .., "rho": ..}.  An error in reading or
+    parsing a circuit file starts with that file's path."""
     desc = _json_object(desc, "a min-max descriptor")
     circ_ref = desc["circuit"]
     if isinstance(circ_ref, str):
-        circ_ref = json.loads((base / circ_ref).read_text())
-    circuit = circuit_from_payload(circ_ref)
+        with _naming(base / circ_ref):
+            circuit = circuit_from_payload(_json_loads((base / circ_ref).read_text()))
+    else:
+        circuit = circuit_from_payload(circ_ref)
     params = derive_parameters(
         m=len(circuit.nodes),
         rho=desc.get("rho", DEFAULTS.default_rho),

@@ -42,21 +42,10 @@ class GdaObjective:
 
     inst: GdaInstance
 
-    @property
-    def dim_x(self) -> int:
-        return self.inst.dim
-
-    @property
-    def dim_y(self) -> int:
-        return self.inst.dim
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self.inst.ledger
-
-    @property
-    def mode(self) -> str:
-        return self.inst.params.mode
+    def __post_init__(self) -> None:
+        self.dim_x = self.dim_y = self.inst.dim
+        self.ledger = self.inst.ledger
+        self.mode = self.inst.params.mode
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         return eval_f(self.inst, x, y)
@@ -108,15 +97,19 @@ def _start_point(obj, seed: Optional[int], x0, y0) -> Tuple[np.ndarray, np.ndarr
     # stream identity is configuration, not contract.
     if (x0 is None) != (y0 is None):
         raise ValueError("give both x0 and y0, or neither")
-    if x0 is not None:
-        return np.asarray(x0, dtype=float).copy(), np.asarray(y0, dtype=float).copy()
-    rng = np.random.default_rng(0 if seed is None else seed)
-    return rng.random(obj.dim_x), rng.random(obj.dim_y)
+    if x0 is None:
+        rng = np.random.default_rng(0 if seed is None else seed)
+        return rng.random(obj.dim_x), rng.random(obj.dim_y)
+    x0, y0 = np.array(x0, dtype=float), np.array(y0, dtype=float)
+    for name, point, dim in (("x0", x0, obj.dim_x), ("y0", y0, obj.dim_y)):
+        if point.shape != (dim,) or not (point.min() >= 0.0 and point.max() <= 1.0):  # NaN fails
+            raise ValueError(f"{name} must have shape ({dim},) and lie in [0,1], got shape {point.shape}")
+    return x0, y0
 
 
 def _projected_step(x, y, gx, gy, lr: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(x, y) moved by lr down gx and up gy, clipped to the box; None when
-    the gradient is not finite."""
+    """(x, y) moved by lr down gx and up gy and clipped to the box, which keeps
+    them finite even where lr * g overflows; None when the gradient is not finite."""
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
         return None
     return np.clip(x - lr * gx, 0.0, 1.0), np.clip(y + lr * gy, 0.0, 1.0)
@@ -161,9 +154,6 @@ def _run_gda_family(
             aborted, diagnostic = True, f"non-finite gradient at iteration {t}"
             break
         x, y = moved
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            aborted, diagnostic = True, f"non-finite iterate at iteration {t}"
-            break
     return SolverRun(
         algorithm=algorithm,
         step_size=lr,
@@ -240,10 +230,11 @@ class FdReport:
     skipped: List[Tuple[int, str]] = field(default_factory=list)
 
 
-def check_fd_step(h: float) -> None:
-    """A central-difference step must be finite and positive."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
+def check_fd_step(h: float, what: str = "h") -> None:
+    """A central-difference step must lie in (0, 1/2]: above 1/2 every point
+    of the box is within h of a face, so fd_check would check none."""
+    if not 0 < h <= 0.5:  # NaN fails
+        raise ValueError(f"{what} must lie in (0, 1/2], got {h!r}")
 
 
 def fd_error(fd: float, analytic: float) -> float:
@@ -337,10 +328,7 @@ def write_report(
     side-channel results.
     """
     out_path = report_dir(out)
-    try:
-        out_path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create report directory {out_path}: {exc}")
+    out_path.mkdir(parents=True, exist_ok=True)
     csv_path = out_path / "gap_curves.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -57,9 +57,10 @@ def _eta(x: float) -> float:
     """exp(-1/x) for x > 0, else 0.  Total: 1/x never divides by zero."""
     if x <= 0.0:
         return 0.0
-    # For tiny positive x, exp(-1/x) underflows to exact 0.0, which is the
-    # correct limit; the guard only avoids overflow in the 1/x itself when
-    # x is subnormal (1/x may be inf, exp(-inf) == 0.0 is still fine).
+    # For tiny x, exp(-1/x) underflows to 0.0, the correct limit, but exp
+    # returns the subnormal 5e-324 for v in about (-745.133, -745.0].  The
+    # guard turns those below -745 into 0.0 too, which is why it stays:
+    # without it, eta would change for x in about (1/745.133, 1/745).
     v = -1.0 / x
     if v < -745.0:
         return 0.0
@@ -155,12 +156,6 @@ class NamedStep:
 
     def d2(self, x: float) -> float:
         return self.out_sign * step_d2(self.spec, x)
-
-    def d1_bound(self) -> float:
-        return d1_bound(self.spec)
-
-    def d2_bound(self) -> float:
-        return d2_bound(self.spec)
 
     def plateau(self) -> Tuple[float, float, float, float, float]:
         """(c1, c2, value at and below c1, value at and above c2, slope on

@@ -487,6 +487,18 @@ class TestJsonFormat:
         assert back.oracle.query((1, 0)) == 1
         assert circuit_to_json(back) == text
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constants_rejected(self, constant):
+        text = circuit_to_json(oracle_pair()).replace('"kind"', f'"note":{constant},"kind"')
+        with pytest.raises(ValueError, match=f"{constant} is not a JSON number"):
+            circuit_from_json(text)
+
+    def test_non_finite_oracle_spec_not_written(self):
+        inst = oracle_pair()
+        inst.oracle_spec = {**inst.oracle_spec, "note": float("nan")}
+        with pytest.raises(ValueError):
+            circuit_to_json(inst)
+
     def test_canonical_bytes_stable(self):
         # same instance built with shuffled gate order serializes identically
         a = CircuitInstance(

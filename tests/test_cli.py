@@ -223,10 +223,26 @@ class TestGradCheck:
     def test_gda_gradient(self, gda_file):
         assert main(["grad-check", str(gda_file), "--points", "2"]) == 0
 
-    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-6"])
-    def test_bad_step_is_usage_error(self, circ_file, gda_file, h):
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-6", "0.6", "1"])
+    def test_bad_step_is_usage_error(self, circ_file, gda_file, capsys, h):
         assert main(["grad-check", str(circ_file), f"--h={h}"]) == 2
         assert main(["grad-check", str(gda_file), f"--h={h}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: --h must lie in (0, 1/2]") == 2
+
+    def test_half_step_checks_the_centre(self, circ_file, capsys):
+        # the coarse quotient may fail the audit (exit 1), but the point is checked
+        assert main(["grad-check", str(circ_file), "--h=0.5", "--points=1"]) != 2
+        assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, circ_file, gda_file, capsys, tol):
+        assert main(["grad-check", str(circ_file), f"--tol={tol}"]) == 2
+        assert main(["grad-check", str(gda_file), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: --tol must be finite and >= 0") == 2
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_is_usage_error(self, circ_file, gda_file, capsys, points):
@@ -310,6 +326,14 @@ class TestSolve:
         assert main(args + flags) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_exits_two(self, gda_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["solve", str(gda_file), "--algo", "pgda", "--steps", "5", "--out", str(afile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
 
@@ -379,6 +403,7 @@ class TestSolve:
             '{"runs": [{"ledger": {"L": -1}}]}',
             '{"ledgers": [{"L": 3}]}',
             '{"ledgers": {"instance": {"L": null}}}',
+            '{"runs": [], "extra": {"gap": NaN}}',
             "{not json",
         ],
     )
@@ -405,8 +430,11 @@ class TestSolve:
 
 
 FILE_KINDS = ["circuit", "descriptor-path", "descriptor-inline", "descriptor-no-mode",
-              "list", "mode-only", "not-json", "missing"]
+              "list", "mode-only", "not-json", "missing", "nan-note",
+              "inner-missing", "inner-not-json", "inner-list"]
 DESCRIPTORS = {"descriptor-path", "descriptor-inline", "descriptor-no-mode"}
+# a descriptor whose circuit file is missing, not JSON, or not a JSON object
+INNER = {"inner-missing": None, "inner-not-json": "{oops", "inner-list": "[1]"}
 # exit code of each command on each kind of file; every kind not listed exits 2
 EXIT_CODES = {
     "build-brouwer": {"circuit": 0},
@@ -432,7 +460,12 @@ class TestInstanceFiles:
             "descriptor-no-mode": {"circuit": "pair.json", **params},
             "list": [1],
             "mode-only": {"mode": "scaled"},
+            # strict JSON has no NaN, even where nothing reads the value
+            "nan-note": {**json.loads(pair), "oracle": {"kind": "truth_table", "data": [0, 1], "note": math.nan}},
+            **{inner: {"circuit": f"{inner}-circuit.json", **params} for inner in INNER},
         }
+        if kind in INNER and INNER[kind] is not None:
+            (tmp_path / f"{kind}-circuit.json").write_text(INNER[kind])
         if kind == "circuit":
             return tmp_path / "pair.json"
         path = tmp_path / f"{kind}.json"
@@ -465,6 +498,10 @@ class TestInstanceFiles:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {path}: ")
             assert "Traceback" not in captured.err
+            if kind in INNER and command != "build-brouwer":
+                inner = tmp_path / f"{kind}-circuit.json"
+                assert captured.err.startswith(f"error: {path}: {inner}: ")
+                assert captured.err.count(str(inner)) == 1
         else:
             assert json.loads(captured.out)
 

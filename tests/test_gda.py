@@ -742,3 +742,13 @@ class TestDescriptor:
         desc_path.write_text(json.dumps(desc))
         inst = load_gda_descriptor(desc_path)
         assert inst.m == 4
+
+    @pytest.mark.parametrize("inner", [False, True], ids=["descriptor", "circuit-file"])
+    def test_non_standard_constant_rejected(self, tmp_path, inner):
+        circ = json.loads(circuit_to_json(oracle_pair()))
+        desc = {"circuit": "circ.json", "delta": 0.05, "n": 2, "eps": 1e-4}
+        (circ if inner else desc)["note"] = math.nan
+        (tmp_path / "circ.json").write_text(json.dumps(circ))
+        (tmp_path / "inst.json").write_text(json.dumps(desc))
+        with pytest.raises(ValueError, match="NaN is not a JSON number"):
+            load_gda_descriptor(tmp_path / "inst.json")

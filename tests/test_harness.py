@@ -65,6 +65,18 @@ class TestPgda:
             runner(toy, steps=5, **start)
         assert toy.ledger.total() == 0
 
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize(
+        "x0, y0",
+        [([math.nan], [0.5]), ([0.5], [math.inf]), ([1.5], [0.5]), ([0.5], [-0.1]), ([0.5, 0.5], [0.5]), ([0.5], 0.5)],
+        ids=["nan", "inf", "above", "below", "long", "scalar"],
+    )
+    def test_bad_start_point_rejected(self, runner, x0, y0):
+        toy = BilinearToy()
+        with pytest.raises(ValueError, match="must have shape"):
+            runner(toy, steps=5, lr=0.1, x0=x0, y0=y0)
+        assert toy.ledger.total() == 0
+
     def test_iterates_stay_in_box(self):
         toy = BilinearToy()
         run = run_pgda(toy, steps=500, lr=0.9, x0=np.array([0.99]), y0=np.array([0.01]))

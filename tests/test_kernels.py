@@ -13,7 +13,7 @@ import pytest
 
 from minmaxlab import brouwer
 from minmaxlab.boolinterp import BoolOracle, interp_eval, interp_grad
-from minmaxlab.brouwer import build_brouwer, eval_component, eval_F, eval_JF
+from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
 from minmaxlab.circuit import NOR, ORACLE, PURIFY, CircuitInstance, nor, oracle_gate, purify
 from minmaxlab.gda import _signals_from_energies
 from minmaxlab.ledger import QueryLedger
@@ -164,7 +164,7 @@ class TestKernelsMatchTheReference:
                 assert bits(got) == bits(want)
                 assert got_queries == want_queries <= _oracle_rows(ref, order)
             for w in rows:
-                got, got_queries = _charged(ledger, lambda: eval_component(bmap, w, z))
+                got, got_queries = _charged(ledger, lambda: bmap.row_values[w](z))
                 want, want_queries = _charged(ledger, lambda: ref.values(z, ref.map_offsets, (w,)))
                 assert bits([got]) == bits(want)
                 assert got_queries == want_queries <= _oracle_rows(ref, (w,))
@@ -303,7 +303,7 @@ class TestModuleGlobalsAtCallTime:
         z = np.array([0.9, 0.5, 0.1])
         eval_F(bmap, z)
         eval_JF(bmap, z)
-        eval_component(bmap, 1, z.tolist())
+        bmap.row_values[1](z.tolist())
         _signals_from_energies(bmap, z.tolist())
         signal_slopes(bmap, z.tolist())
         assert seen == ["interp_eval", "interp_grad", "interp_eval", "interp_eval", "interp_grad"]

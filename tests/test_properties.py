@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement, product
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,8 @@ from minmaxlab.circuit import (
     purify,
 )
 from minmaxlab.gda import (
-    _gadgets_from_blocks,
+    _displacements,
+    _gadgets,
     block_energies,
     build_gda_instance,
     decode_gda,
@@ -52,6 +54,7 @@ from minmaxlab.sperner import (
     SpernerSolution,
     find_sperner_solution_exhaustive,
     make_brouwer_labeling,
+    verify_sperner_solution,
 )
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
@@ -263,7 +266,8 @@ def test_eval_f_matches_per_block_gadgets(name, n, regime, seed):
     inst = instance(name, n)
     x, y = pair(inst, regime, np.random.default_rng(seed))
     bx, by = inst.blocks(x), inst.blocks(y)
-    H, disp = _gadgets_from_blocks(inst, bx, by)
+    disp = _displacements(inst, bx, by)
+    H = _gadgets(disp, bx, by)
     ref_H = np.zeros(inst.m)
     for v in range(inst.m):
         for i in range(inst.n):
@@ -467,11 +471,29 @@ def test_packed_search_finds_and_misses():
     assert same_search(4, 2, lambda p: (1, -1)) is None
 
 
-def test_packed_search_with_codes_wider_than_a_byte():
-    # d = 9 codes run to 511; the boundary labeling of [2]^9 covers with
-    # eight copies of (1,...,1) and one (2,...,2), the 512th cluster tried
-    sol = same_search(2, 9, lambda p: tuple(1 if t == 1 else -1 for t in p))
-    assert sol == SpernerSolution(((1,) * 9,) * 8 + ((2,) * 9,))
+@pytest.mark.parametrize("d", [9, 12])
+def test_packed_search_with_codes_wider_than_a_byte(d):
+    # above d = 8 the codes (up to 2^d - 1) go in an array("L"); the
+    # boundary labeling of [2]^d covers with d - 1 copies of (1,...,1) and
+    # one (2,...,2), the (2^d)th cluster tried
+    def boundary(p):
+        return tuple(1 if t == 1 else -1 for t in p)
+
+    sol = same_search(2, d, boundary)
+    assert sol == SpernerSolution(((1,) * d,) * (d - 1) + ((2,) * d,))
+    inst = SpernerInstance(M=2, d=d, labeling=boundary)
+    assert find_sperner_solution_exhaustive(inst) == sol
+    assert verify_sperner_solution(inst, sol)[0]
+    assert inst.ledger.count("lambda") == 2**d + 2
+
+
+@pytest.mark.parametrize("d", [9, 12])
+def test_packed_search_with_wide_codes_and_no_cover(d):
+    # coordinate 0 is never +1; the dict-based scan would try all
+    # C(2^d + d - 1, d) clusters, so only the outcome and the ledger are checked
+    inst = SpernerInstance(M=2, d=d, labeling=lambda p: (-1,) + tuple(1 if t == 1 else -1 for t in p[1:]))
+    assert find_sperner_solution_exhaustive(inst) is None
+    assert inst.ledger.count("lambda") == 2**d
 
 
 # ---------------------------------------------------------------------------

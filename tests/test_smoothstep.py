@@ -133,8 +133,8 @@ class TestDerivatives:
         rng = np.random.default_rng(19)
         spec = curve.spec
         xs = rng.uniform(spec.c1 - spec.width, spec.c2 + spec.width, size=2000)
-        assert max(abs(curve.d1(float(x))) for x in xs) <= curve.d1_bound()
-        assert max(abs(curve.d2(float(x))) for x in xs) <= curve.d2_bound()
+        assert max(abs(curve.d1(float(x))) for x in xs) <= d1_bound(spec)
+        assert max(abs(curve.d2(float(x))) for x in xs) <= d2_bound(spec)
 
     def test_narrow_step_stays_finite(self):
         spec = StepSpec(0.0, 1e-4)
