@@ -405,11 +405,8 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
     counts the reduced-map evaluations of all attempts.
     """
     target, max_iter, tol = DEFAULTS.brouwer_eps, 20000, 1e-11
+    # cut is non-empty when dim >= 1: every node has an in-edge from its gate's inputs, so there is a cycle
     cut, order = feedback_cut(bmap)
-    if not cut:
-        z = _propagate(bmap, cut, order, np.empty(0))
-        res = residual(bmap, z)
-        return FixedPointResult(z, res, "cycle_cut", 0, res <= target)
 
     def reduced(c: np.ndarray) -> np.ndarray:
         z = _propagate(bmap, cut, order, c)

@@ -31,14 +31,12 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .boolinterp import BoolOracle
 from .config import whole_number
 from .ledger import QueryLedger
-
-if TYPE_CHECKING:
-    from .sperner import SpernerInstance
+from .sperner import SpernerInstance, get_test_map, make_brouwer_labeling
 
 #: three-valued "unknown"; assignments map nodes to 0, 1, or BOT.
 BOT = None
@@ -55,6 +53,10 @@ class Gate:
     kind: str
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in (NOR, PURIFY, ORACLE):  # a tuple: an unhashable kind is unknown too
+            raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def label(self) -> str:
         return f"{self.kind}({','.join(self.inputs)} -> {','.join(self.outputs)})"
@@ -131,8 +133,6 @@ def validate_instance(inst: CircuitInstance) -> List[str]:
                 violations.append(
                     f"{gate.label()}: arity mismatch, oracle expects {inst.oracle.arity} inputs"
                 )
-        elif gate.kind not in _GATE_ORDER:
-            violations.append(f"{gate.label()}: unknown gate kind")
         for v in gate.outputs:
             if v in out_count:
                 out_count[v] += 1
@@ -173,7 +173,7 @@ def check_assignment(inst: CircuitInstance, assignment: Assignment) -> List[Gate
                 violated.append(gate)
             elif bu in (0, 1) and not (bv == bu and bw == bu):
                 violated.append(gate)
-        elif gate.kind == ORACLE:
+        else:  # ORACLE
             (bv,) = outs
             if all(b in (0, 1) for b in ins):
                 if inst.oracle is None:
@@ -181,8 +181,6 @@ def check_assignment(inst: CircuitInstance, assignment: Assignment) -> List[Gate
                 expected = inst.oracle.query(tuple(ins))
                 if bv != expected:
                     violated.append(gate)
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
     return violated
 
 
@@ -325,10 +323,8 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
         table = _json_list(spec["data"], "a truth-table oracle's 'data'")
         return BoolOracle.from_truth_table(table, ledger=ledger)
     if kind == "sperner":
-        from . import sperner  # deferred: sperner has no dependency on this module
-
         data = _json_object(spec["data"], "a sperner oracle's 'data'")
-        test_map = sperner.get_test_map(data["map"])
+        test_map = get_test_map(data["map"])
         d = whole_number(data["d"], "a sperner oracle's 'd'", 1)
         M = whole_number(data["M"], "a sperner oracle's 'M'", 1)
         eps = data["eps"]
@@ -336,10 +332,10 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
             raise ValueError(f"a sperner oracle's 'eps' must be a number, got {eps!r}")
         if d != test_map.d:
             raise ValueError(f"stored d={d} but map {test_map.name!r} has d={test_map.d}")
-        labeling, derived_m = sperner.make_brouwer_labeling(test_map.fn, d, eps)
+        labeling, derived_m = make_brouwer_labeling(test_map.fn, d, eps)
         if derived_m != M:
             raise ValueError(f"stored M={M} but eps={eps} derives M={derived_m}")
-        return build_oracle_from_labeling(sperner.SpernerInstance(M, d, labeling, ledger))
+        return build_oracle_from_labeling(SpernerInstance(M, d, labeling, ledger))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
@@ -370,8 +366,6 @@ def circuit_from_payload(payload) -> CircuitInstance:
     gates = []
     for item in _json_list(payload["gates"], "'gates'"):
         kind = _json_object(item, "each gate")["type"]
-        if kind not in _GATE_ORDER:
-            raise ValueError(f"unknown gate type {kind!r}")
         gates.append(Gate(kind, _node_names(item["in"], "in"), _node_names(item["out"], "out")))
     oracle = _oracle_from_spec(payload.get("oracle"), ledger)
     return CircuitInstance(

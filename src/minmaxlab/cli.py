@@ -23,8 +23,9 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,13 +48,22 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``; errors start with the path."""
+    with _naming(path):
+        Path(path).write_text(text)
+
+
 def _load_points(path: Path, expected: int) -> np.ndarray:
-    if path.suffix.lower() == ".csv":
-        vec = np.loadtxt(path, delimiter=",", dtype=float).reshape(-1)
-    else:
-        vec = np.fromfile(path, dtype="<f8")
-    if vec.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {vec.size}")
+    """The point file's values; errors start with the path."""
+    with _naming(path):
+        if path.suffix.lower() == ".csv":
+            with path.open() as fh:  # a missing file raises an OSError that has a strerror
+                vec = np.loadtxt(fh, delimiter=",", dtype=float).reshape(-1)
+        else:
+            vec = np.fromfile(path, dtype="<f8")
+        if vec.size != expected:
+            raise ValueError(f"expected {expected} values, found {vec.size}")
     return vec
 
 
@@ -72,24 +82,24 @@ def _load_instance(path: str, only: Optional[str] = None):
         return gda.gda_from_descriptor(payload, path.parent)
 
 
-def _cmd_build_brouwer(args) -> int:
+# Each command returns (exit code, payload); main prints the payload once the
+# command has returned, so a command that raises leaves stdout empty.
+
+def _cmd_build_brouwer(args) -> Tuple[int, dict]:
     circuit = _load_instance(args.circuit, "circuit")
     violations = validate_instance(circuit)
     if violations:
-        print(_dumps({"valid": False, "violations": violations}))
-        return 1
-    bmap = brouwer.build_brouwer(circuit)
+        return 1, {"valid": False, "violations": violations}
     kinds = {}
     for gate in circuit.gates:
         kinds[gate.kind] = kinds.get(gate.kind, 0) + 1
-    summary = {"valid": True, "dim": bmap.dim, "nodes": len(circuit.nodes), "gates": kinds}
-    print(_dumps(summary))
     if args.out:
-        Path(args.out).write_text(circuit_to_json(circuit))
-    return 0
+        _write(args.out, circuit_to_json(circuit))
+    # a valid circuit's map has one coordinate per node
+    return 0, {"valid": True, "dim": len(circuit.nodes), "nodes": len(circuit.nodes), "gates": kinds}
 
 
-def _cmd_build_gda(args) -> int:
+def _cmd_build_gda(args) -> Tuple[int, dict]:
     inst = _load_instance(args.descriptor, "descriptor")
     summary = {
         "dim_per_player": inst.dim,
@@ -97,25 +107,24 @@ def _cmd_build_gda(args) -> int:
         "replicas": inst.n,
         "params": inst.params.as_dict(),
     }
-    print(_dumps(summary))
     if args.out:
-        Path(args.out).write_text(_dumps(summary) + "\n")
-    return 0
+        _write(args.out, _dumps(summary) + "\n")
+    return 0, summary
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[int, dict]:
     inst = _load_instance(args.instance)
     point_path = Path(args.points)
     if isinstance(inst, gda.GdaInstance):
         vec = _load_points(point_path, 2 * inst.dim)
-        x, y = vec[: inst.dim], vec[inst.dim:]
-        result = gda.dichotomy_extract(inst, x, y)
+        result = gda.dichotomy_extract(inst, vec[: inst.dim], vec[inst.dim:])
+        ok, assignment, violations = result.gap_ok, result.assignment, result.violations
+        ledger = inst.ledger
         payload = {
             "gap": result.gap,
             "gap_ok": result.gap_ok,
             "eps": inst.params.eps,
             "mode": inst.params.mode,
-            "ledger": inst.ledger.snapshot(),
         }
         if result.warning:
             payload["warning"] = result.warning
@@ -125,32 +134,27 @@ def _cmd_verify(args) -> int:
                 "replica": result.witness.replica,
                 "residual": result.witness.residual,
             }
-        else:
-            payload["assignment"] = {
-                k: ("bot" if v is None else v) for k, v in result.assignment.values.items()
-            }
-            payload["violations"] = [g.label() for g in result.violations]
-        print(_dumps(payload))
-        return 0 if result.gap_ok else 1
-    bmap = brouwer.build_brouwer(inst)
-    z = _load_points(point_path, bmap.dim)
-    res = brouwer.residual(bmap, z)
-    ok = res <= DEFAULTS.brouwer_eps
-    assignment = brouwer.decode_brouwer(bmap, z)
-    violations = check_assignment(inst, assignment)
-    payload = {
-        "residual": res,
-        "ok": ok,
-        "eps": DEFAULTS.brouwer_eps,
-        "assignment": {k: ("bot" if v is None else v) for k, v in assignment.values.items()},
-        "violations": [g.label() for g in violations],
-        "ledger": bmap.ledger.snapshot(),
-    }
-    print(_dumps(payload))
-    return 0 if ok else 1
+    else:
+        bmap = brouwer.build_brouwer(inst)
+        z = _load_points(point_path, bmap.dim)
+        res = brouwer.residual(bmap, z)
+        ok = res <= DEFAULTS.brouwer_eps
+        assignment = brouwer.decode_brouwer(bmap, z)
+        violations = check_assignment(inst, assignment)
+        ledger = bmap.ledger
+        payload = {
+            "residual": res,
+            "ok": ok,
+            "eps": DEFAULTS.brouwer_eps,
+        }
+    if assignment is not None:  # None only beside a witness
+        payload["assignment"] = {k: ("bot" if v is None else v) for k, v in assignment.values.items()}
+        payload["violations"] = [g.label() for g in violations]
+    payload["ledger"] = ledger.snapshot()
+    return (0 if ok else 1), payload
 
 
-def _cmd_grad_check(args) -> int:
+def _cmd_grad_check(args) -> Tuple[int, dict]:
     rng = np.random.default_rng(args.seed)
     h = args.h
     harness.check_fd_step(h, "--h")
@@ -171,12 +175,7 @@ def _cmd_grad_check(args) -> int:
     else:
         bmap = brouwer.build_brouwer(inst)
         dim = bmap.dim
-
-        def value_fn(z: np.ndarray) -> np.ndarray:
-            return brouwer.eval_F(bmap, z)
-
-        def grad_fn(z: np.ndarray) -> np.ndarray:
-            return brouwer.eval_JF(bmap, z)
+        value_fn, grad_fn = partial(brouwer.eval_F, bmap), partial(brouwer.eval_JF, bmap)
 
     points = [h + (1 - 2 * h) * rng.random(dim) for _ in range(args.points)]
     rep = harness.fd_check(value_fn, grad_fn, points, h)
@@ -188,23 +187,21 @@ def _cmd_grad_check(args) -> int:
         "tol": args.tol,
         "ok": ok,
     }
-    print(_dumps(payload))
-    return 0 if ok else 1
+    return (0 if ok else 1), payload
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Tuple[int, dict]:
     inst = _load_instance(args.instance, "descriptor")
     obj = harness.GdaObjective(inst)
     if args.algo == "grid":
-        x, y, gap = harness.grid_search_stationary(obj, args.resolution)
+        gap = harness.grid_search_stationary(obj, args.resolution)[2]
         payload = {
             "algorithm": "grid",
             "gap": gap,
             "ledger": inst.ledger.snapshot(),
             "mode": inst.params.mode,
         }
-        print(_dumps(payload))
-        return 0
+        return 0, payload
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
     run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
     extra = {}
@@ -223,11 +220,10 @@ def _cmd_solve(args) -> int:
         "aborted": run.aborted,
         "reports": [str(p) for p in paths],
     }
-    print(_dumps(payload))
-    return 1 if run.aborted else 0
+    return (1 if run.aborted else 0), payload
 
 
-def _cmd_query_report(args) -> int:
+def _cmd_query_report(args) -> Tuple[int, dict]:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ValueError(f"{run_dir} is not a directory")
@@ -247,9 +243,7 @@ def _cmd_query_report(args) -> int:
                     peak[key] = max(peak.get(key, 0), whole_number(value, f"ledger count {key!r}"))
         for key, value in peak.items():
             totals[key] = totals.get(key, 0) + value
-    payload = {"reports": len(reports), "ledger_totals": totals}
-    print(_dumps(payload))
-    return 0
+    return 0, {"reports": len(reports), "ledger_totals": totals}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,10 +295,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload = args.func(args)
+        print(_dumps(payload))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -259,6 +259,11 @@ class TestValidate:
         )
         assert any("distinct" in v for v in validate_instance(inst))
 
+    @pytest.mark.parametrize("kind", ["XOR", "nor", ["NOR"], None])
+    def test_unknown_gate_kind_raises_when_made(self, kind):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate(kind, ("a", "b"), ("c",))
+
 
 def brute_force_satisfying(inst):
     """All satisfying assignments by direct evaluation of the gate rules.

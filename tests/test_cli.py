@@ -10,7 +10,7 @@ import pytest
 
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
 from minmaxlab.cli import main
-from minmaxlab.circuit import build_constant_gadget, circuit_from_json, circuit_to_json
+from minmaxlab.circuit import Assignment, build_constant_gadget, check_assignment, circuit_from_json, circuit_to_json
 from minmaxlab.config import DEFAULTS
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
@@ -69,6 +69,30 @@ class TestBuildBrouwer:
     def test_missing_file_exits_two(self, capsys):
         assert main(["build-brouwer", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["XOR", ["NOR"]])
+    @pytest.mark.parametrize("command", ["build-brouwer", "verify"])
+    def test_unknown_gate_kind_names_the_file(self, tmp_path, capsys, command, kind):
+        circ = tmp_path / "xor.json"
+        circ.write_text(json.dumps({"nodes": ["a", "b", "c"], "gates": [{"type": kind, "in": ["a", "b"], "out": "c"}]}))
+        points = tmp_path / "z.csv"
+        points.write_text("0.5,0.5,0.5\n")
+        argv = [command, str(circ)] + ([str(points)] if command == "verify" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {circ}: unknown gate kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("command", ["build-brouwer", "build-gda"])
+def test_out_that_is_a_directory_names_it(circ_file, gda_file, tmp_path, capsys, command):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    instance = circ_file if command == "build-brouwer" else gda_file
+    assert main([command, str(instance), "--out", str(adir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {adir}: Is a directory\n"
+
 
 class TestBuildGda:
     def test_summary(self, gda_file, capsys):
@@ -76,6 +100,11 @@ class TestBuildGda:
         out = json.loads(capsys.readouterr().out)
         assert out["dim_per_player"] == 3 * 2 * 3
         assert out["params"]["mode"] == "scaled"
+
+    def test_out_holds_the_summary(self, gda_file, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        assert main(["build-gda", str(gda_file), "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_bad_descriptor_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -126,6 +155,31 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["gap_ok"]
         assert "witness" in out
+
+    def test_gda_verify_without_witness(self, gda_file, tmp_path, capsys):
+        # at x = y = 0 every replica midpoint is 0, where the NOR loop moves
+        points = tmp_path / "xy.bin"
+        np.zeros(2 * 18).astype("<f8").tofile(points)
+        assert main(["verify", str(gda_file), str(points)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert "witness" not in out and not out["gap_ok"]
+        assert out["warning"] == f"point is not 0.0001-stationary (gap {out['gap']:.3g}); extraction still runs"
+        circuit = nor_loop()
+        assert out["assignment"] == dict.fromkeys(circuit.nodes, 0)
+        violations = check_assignment(circuit, Assignment.constant(circuit.nodes, 0))
+        assert violations
+        assert out["violations"] == [g.label() for g in violations]
+
+    @pytest.mark.parametrize("name, text", [("z.csv", "0.5,abc\n"), ("z.csv", None), ("z.bin", None)],
+                             ids=["csv-not-a-number", "csv-missing", "bin-missing"])
+    def test_unreadable_point_file_names_it(self, circ_file, tmp_path, capsys, name, text):
+        points = tmp_path / name
+        if text is not None:
+            points.write_text(text)
+        assert main(["verify", str(circ_file), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {points}: ")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_point_exits_two(self, circ_file, tmp_path, capsys, bad):
@@ -194,10 +248,11 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    def test_wrong_length_exits_two(self, circ_file, tmp_path):
+    def test_wrong_length_exits_two(self, circ_file, tmp_path, capsys):
         points = tmp_path / "short.bin"
         np.ones(2).astype("<f8").tofile(points)
         assert main(["verify", str(circ_file), str(points)]) == 2
+        assert capsys.readouterr().err == f"error: {points}: expected 4 values, found 2\n"
 
     def test_constant_gadget_roundtrip(self, tmp_path, capsys):
         from minmaxlab.brouwer import build_brouwer, cycle_cut_solve

@@ -8,6 +8,7 @@ from minmaxlab.smoothstep import (
     ELL,
     G,
     StepSpec,
+    _eta,
     d1_bound,
     d2_bound,
     named_step,
@@ -81,6 +82,12 @@ class TestStepEval:
             vals = [step_eval(spec, float(x)) for x in xs]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_eta_rounds_a_subnormal_exp_to_zero(self):
+        # exp(-1/x) is the subnormal 5e-324 here; eta gives the limit 0.0
+        x = 1 / 745.1
+        assert math.exp(-1 / x) != 0.0
+        assert _eta(x) == 0.0
 
 
 class TestDerivatives:
