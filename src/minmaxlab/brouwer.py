@@ -48,8 +48,16 @@ orders of magnitude narrower than any orbit spacing; damped orbits
 settle on limit cycles that never enter them.  For those, the instance
 is reduced along a feedback vertex cut: non-cut coordinates are
 propagated exactly through their gates, and an adaptively damped
-iteration with a bracketing safeguard drives the remaining cut
-coordinate(s) to consistency.
+iteration drives the remaining cut coordinate(s) to consistency.  On a
+one-coordinate cut the reduced map is a self-map of [0,1] and a sign
+bracket makes that iteration converge from any start; on a larger cut
+the solver tries the centre and up to seven random starts.
+find_fixed_point runs the cut solver straight after a centre attempt
+that has not converged.  Each reduced-map evaluation walks every row at
+most once, so it makes at most |V| oracle queries, and is charged as one
+cut_evals.  grid_restart_point, the lowest-residual point of a 21-point
+grid, is a start a caller may give damped_iteration; the search does
+not use it.
 
 A damped attempt ends once its best residual has gone 500 steps without
 a new best, so its step count is only a cap.  Over every circuit of
@@ -79,7 +87,7 @@ from .circuit import (
     CircuitInstance,
     validate_instance,
 )
-from .config import DEFAULTS, whole_number
+from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
 from .smoothstep import ELL, G
 
@@ -199,9 +207,7 @@ def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:
     if z.shape != (bmap.dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({bmap.dim},)")
     zl = z.tolist()
-    for v in zl:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"point outside [0,1]^d: coordinate {v!r}")
+    check_unit_cube(zl)
     return zl
 
 
@@ -402,13 +408,15 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
     adaptive damping without the bracket, from the centre and then up to
     seven random starts.  Damping starts at 1/2; an attempt stops at a
     reduced displacement of 1e-11 or after 20000 steps, and `iterations`
-    counts the reduced-map evaluations of all attempts.
+    counts the reduced-map evaluations of all attempts.  Each is charged
+    as one cut_evals, and the final residual as one F_evals.
     """
     target, max_iter, tol = DEFAULTS.brouwer_eps, 20000, 1e-11
     # cut is non-empty when dim >= 1: every node has an in-edge from its gate's inputs, so there is a cycle
     cut, order = feedback_cut(bmap)
 
     def reduced(c: np.ndarray) -> np.ndarray:
+        bmap.ledger.record("cut_evals")
         z = _propagate(bmap, cut, order, c)
         return np.array([bmap.row_values[node](z) for node in cut])
 
@@ -477,27 +485,11 @@ def write_residual_trace(result: FixedPointResult, path) -> None:
 
 
 def find_fixed_point(bmap: BrouwerMap, damped_steps: int = 5000, seed: int = 0) -> FixedPointResult:
-    """Damped iteration from the centre and two random starts, then from
-    the grid restart point for d <= 3, then the feedback-cut solver;
-    returns the first result within DEFAULTS.brouwer_eps, else the one
-    with the lowest residual."""
-    rng = np.random.default_rng(seed)
-    best: Optional[FixedPointResult] = None
-    for attempt in range(3):
-        z0 = None if attempt == 0 else rng.random(bmap.dim)
-        result = damped_iteration(bmap, z0=z0, steps=damped_steps)
-        if best is None or result.residual < best.residual:
-            best = result
-        if result.converged:
-            return result
-    if bmap.dim <= 3:
-        result = damped_iteration(bmap, z0=grid_restart_point(bmap), steps=damped_steps)
-        result.method = "grid_restart"
-        if result.converged:
-            return result
-        if result.residual < best.residual:
-            best = result
+    """Damped iteration from the centre; if that has not converged, the
+    feedback-cut solver, returning the lower-residual of the two (the
+    centre attempt on ties).  `seed` is accepted and unused."""
+    best = damped_iteration(bmap, steps=damped_steps)
+    if best.converged:
+        return best
     result = cycle_cut_solve(bmap)
-    if result.residual < best.residual:
-        best = result
-    return best
+    return result if result.residual < best.residual else best

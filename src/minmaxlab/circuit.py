@@ -108,6 +108,8 @@ class Assignment:
 def validate_instance(inst: CircuitInstance) -> List[str]:
     """Structural violations as data; empty list means well-formed."""
     violations: List[str] = []
+    if not inst.nodes:
+        violations.append("the circuit has no nodes")
     node_set = set(inst.nodes)
     if len(node_set) != len(inst.nodes):
         violations.append("duplicate node identifiers")

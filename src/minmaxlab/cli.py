@@ -40,7 +40,7 @@ from .circuit import (
     circuit_to_json,
     validate_instance,
 )
-from .config import DEFAULTS, whole_number
+from .config import DEFAULTS, check_unit_cube, whole_number
 
 
 def _dumps(payload) -> str:
@@ -55,7 +55,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_points(path: Path, expected: int) -> np.ndarray:
-    """The point file's values; errors start with the path."""
+    """The point file's values, each checked to lie in [0, 1]; errors start with the path."""
     with _naming(path):
         if path.suffix.lower() == ".csv":
             with path.open() as fh:  # a missing file raises an OSError that has a strerror
@@ -64,6 +64,7 @@ def _load_points(path: Path, expected: int) -> np.ndarray:
             vec = np.fromfile(path, dtype="<f8")
         if vec.size != expected:
             raise ValueError(f"expected {expected} values, found {vec.size}")
+        check_unit_cube(vec.tolist())
     return vec
 
 

@@ -1,5 +1,6 @@
 """Shared numeric configuration: one place for tolerances and defaults,
-and the one whole-number rule every counted entry point applies."""
+the one whole-number rule every counted entry point applies, and the one
+unit-cube rule every point entry point applies."""
 
 from __future__ import annotations
 
@@ -16,6 +17,14 @@ def whole_number(value, what: str, minimum: int = 0) -> int:
     if n is None or n != value or n < minimum:
         raise ValueError(f"{what} must be a whole number >= {minimum}, got {value!r}")
     return n
+
+
+def check_unit_cube(values) -> None:
+    """ValueError naming the first of `values` (floats) outside [0, 1];
+    NaN fails the comparison."""
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"point outside [0,1]^d: coordinate {v!r}")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from .circuit import (
     check_assignment,
     circuit_from_payload,
 )
-from .config import DEFAULTS, whole_number
+from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
 from .smoothstep import NamedStep, named_step
 
@@ -209,8 +209,9 @@ def _check_pair(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     y = np.asarray(y, dtype=float)
     if x.shape != (inst.dim,) or y.shape != (inst.dim,):
         raise ValueError(f"points must have shape ({inst.dim},)")
-    if not (x.min() >= 0.0 and x.max() <= 1.0 and y.min() >= 0.0 and y.max() <= 1.0):  # NaN fails
-        raise ValueError("points outside [0,1]^d or not finite")
+    # numpy screens the point (NaN fails); the per-value rule, 0.16 ms at d = 2304, runs only to name the coordinate
+    if not (x.min() >= 0.0 and x.max() <= 1.0 and y.min() >= 0.0 and y.max() <= 1.0):
+        check_unit_cube(x.tolist() + y.tolist())
     return x, y
 
 

@@ -4,8 +4,9 @@ Every black-box oracle in the pipeline charges its calls to a ledger
 under one fixed key, never a setting: the circuit oracle (BoolOracle)
 under ``L``, the grid labeling (SpernerInstance) under ``lambda``, the
 map an induced labeling reads under ``F``, the cube map and its
-Jacobian under ``F_evals`` and ``JF_evals``, and the objective and its
-gradient under ``f_evals`` and ``grad_f_evals``.
+Jacobian under ``F_evals`` and ``JF_evals``, the feedback-cut solver's
+reduced map under ``cut_evals``, and the objective and its gradient
+under ``f_evals`` and ``grad_f_evals``.
 Counts are whole numbers >= 0 and only ever increase, and per-worker
 ledgers merge by coordinate-wise sum.
 

@@ -32,7 +32,7 @@ from minmaxlab.config import DEFAULTS
 from minmaxlab.gda import _signals_from_energies
 from minmaxlab.smoothstep import ELL, G
 
-from circuits import every_instance, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+from circuits import build_chain, every_instance, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 from test_kernels import signal_slopes
 
 
@@ -489,3 +489,115 @@ class TestGridRestartStop:
         exact = residual(build_brouwer(make()), got) == 0.0
         assert new.ledger.count("F_evals") == (index + 1 if exact else len(grid))
         assert old.ledger.count("F_evals") == len(grid)
+
+
+def reference_find_fixed_point(bmap: BrouwerMap, damped_steps: int = 5000, seed: int = 0) -> FixedPointResult:
+    """find_fixed_point as it was before the cut solver came straight after
+    the centre attempt: damped iteration from the centre and two random
+    starts, then from the grid restart point for d <= 3, then the
+    feedback-cut solver."""
+    rng = np.random.default_rng(seed)
+    best: Optional[FixedPointResult] = None
+    for attempt in range(3):
+        z0 = None if attempt == 0 else rng.random(bmap.dim)
+        result = damped_iteration(bmap, z0=z0, steps=damped_steps)
+        if best is None or result.residual < best.residual:
+            best = result
+        if result.converged:
+            return result
+    if bmap.dim <= 3:
+        result = damped_iteration(bmap, z0=grid_restart_point(bmap), steps=damped_steps)
+        result.method = "grid_restart"
+        if result.converged:
+            return result
+        if result.residual < best.residual:
+            best = result
+    result = cycle_cut_solve(bmap)
+    if result.residual < best.residual:
+        best = result
+    return best
+
+
+def two_nor_loops() -> CircuitInstance:
+    """Two disjoint nor_loop copies: one cut coordinate per copy."""
+    return CircuitInstance(
+        nodes=("a", "b", "c", "x", "y", "w"),
+        gates=(purify("a", "b", "c"), nor("b", "c", "a"), purify("x", "y", "w"), nor("y", "w", "x")),
+    )
+
+
+# every circuit of tests/circuits.py with every oracle table, the gadget and
+# the 35-node build_chain: 40 maps, each with a one-node feedback cut
+EVERY_MAP = [pytest.param(make, id=name) for name, make in [*every_instance(), ("build_chain", build_chain)]]
+
+
+def assert_same_result(got: FixedPointResult, expected: FixedPointResult) -> None:
+    assert got.z.tobytes() == expected.z.tobytes()
+    assert got.residual == expected.residual
+    assert got.method == expected.method
+    assert got.iterations == expected.iterations
+
+
+class TestCentreThenCut:
+    """find_fixed_point against the staged search it replaces, which tried
+    two random starts and the grid restart before the cut solver."""
+
+    @pytest.mark.parametrize("make", EVERY_MAP)
+    def test_centre_attempt_then_cut(self, make):
+        new, old = build_brouwer(make()), build_brouwer(make())
+        got = find_fixed_point(new)
+        expected = reference_find_fixed_point(old)
+        spent, spent_before = new.ledger.snapshot(), old.ledger.snapshot()
+        if got.method == "damped":
+            # the centre attempt converged, and both searches stop there
+            assert_same_result(got, expected)
+            assert spent == spent_before
+            return
+        assert got.method == "cycle_cut" and got.converged
+        if expected.method == "cycle_cut":
+            # the same deterministic solver won both searches
+            assert_same_result(got, expected)
+        work = spent["F_evals"] + spent.get("cut_evals", 0)
+        assert work < spent_before["F_evals"] + spent_before.get("cut_evals", 0)
+        assert spent.get("L", 0) <= spent_before.get("L", 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_multi_coordinate_cut_converges(self, seed):
+        bmap = build_brouwer(two_nor_loops())
+        assert feedback_cut(bmap)[0] == [0, 3]
+        result = find_fixed_point(bmap, seed=seed)
+        assert result.method == "cycle_cut" and result.converged
+        assert check_assignment(bmap.circuit, decode_brouwer(bmap, result.z)) == []
+
+
+class TestSearchContract:
+    """On the 40 maps: a result within 1/12 that decodes to a satisfying
+    assignment, and at most |V| oracle queries per map or reduced-map
+    evaluation."""
+
+    @pytest.mark.parametrize("make", EVERY_MAP)
+    def test_result_decodes_within_the_query_budget(self, make):
+        bmap = build_brouwer(make())
+        result = find_fixed_point(bmap)
+        counts = bmap.ledger.snapshot()
+        assert result.converged and result.residual <= DEFAULTS.brouwer_eps
+        assert check_assignment(bmap.circuit, decode_brouwer(bmap, result.z)) == []
+        assert counts.get("L", 0) <= bmap.dim * (counts["F_evals"] + counts.get("cut_evals", 0))
+
+    @pytest.mark.parametrize("make", EVERY_MAP)
+    def test_cut_solver_charges_each_reduced_evaluation(self, make):
+        bmap = build_brouwer(make())
+        result = cycle_cut_solve(bmap)
+        counts = bmap.ledger.snapshot()
+        assert counts["cut_evals"] == result.iterations
+        assert counts["F_evals"] == 1  # the final residual
+        assert counts.get("L", 0) <= bmap.dim * (result.iterations + 1)
+
+    def test_totals_over_every_map(self):
+        totals: dict = {}
+        for param in EVERY_MAP:
+            bmap = build_brouwer(param.values[0]())
+            find_fixed_point(bmap)
+            for key in ("F_evals", "cut_evals", "L"):
+                totals[key] = totals.get(key, 0) + bmap.ledger.count(key)
+        assert totals == {"F_evals": 10374, "cut_evals": 486, "L": 5424}

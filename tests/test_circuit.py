@@ -219,6 +219,9 @@ class TestValidate:
         for inst in (nor_loop(), purify_loop(), oracle_pair(), oracle_attracting()):
             assert validate_instance(inst) == []
 
+    def test_empty_circuit_is_flagged(self):
+        assert validate_instance(CircuitInstance(nodes=(), gates=())) == ["the circuit has no nodes"]
+
     def test_double_output_is_flagged(self):
         inst = CircuitInstance(
             nodes=("a", "b", "c", "d"),

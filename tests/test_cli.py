@@ -61,6 +61,20 @@ class TestBuildBrouwer:
         path.write_text(json.dumps(bad))
         assert main(["build-brouwer", str(path)]) == 1
 
+    def test_empty_circuit_is_invalid(self, tmp_path, capsys):
+        # build-brouwer reports it as a violation and verify exits 2, as for
+        # any other invalid circuit
+        circ = tmp_path / "empty.json"
+        circ.write_text(json.dumps({"nodes": [], "gates": [], "oracle": None}))
+        points = tmp_path / "z.csv"
+        points.write_text("\n")
+        assert main(["build-brouwer", str(circ)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "violations": ["the circuit has no nodes"]}
+        assert main(["verify", str(circ), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid circuit instance: the circuit has no nodes\n"
+
     def test_canonical_out(self, circ_file, tmp_path, capsys):
         out = tmp_path / "canon.json"
         assert main(["build-brouwer", str(circ_file), "--out", str(out)]) == 0
@@ -180,6 +194,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {points}: ")
+
+    @pytest.mark.parametrize("bad", ["nan", "1.5"])
+    @pytest.mark.parametrize("kind", ["circuit", "descriptor"])
+    def test_point_outside_the_cube_names_the_file(self, circ_file, gda_file, tmp_path, capsys, kind, bad):
+        instance, size = (circ_file, 4) if kind == "circuit" else (gda_file, 2 * 18)
+        points = tmp_path / "z.csv"
+        points.write_text(",".join(["0.5", bad] + ["0.5"] * (size - 2)) + "\n")
+        assert main(["verify", str(instance), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {points}: point outside [0,1]^d: coordinate {float(bad)!r}\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_point_exits_two(self, circ_file, tmp_path, capsys, bad):
