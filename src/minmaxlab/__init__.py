@@ -25,7 +25,6 @@ from .brouwer import (
     eval_F,
     eval_JF,
     find_fixed_point,
-    write_residual_trace,
 )
 from .circuit import (
     BOT,
@@ -52,11 +51,8 @@ from .gda import (
     derive_parameters,
     dichotomy_extract,
     endpoint_gap,
-    energy,
     eval_f,
     eval_grad_f,
-    load_gda_descriptor,
-    signal,
     stationarity_gap,
 )
 from .harness import (

@@ -257,23 +257,19 @@ class FixedPointResult:
     method: str
     iterations: int
     converged: bool
-    trace: List[Tuple[int, float, int]] = field(default_factory=list)
 
 
 def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: int = 5000) -> FixedPointResult:
     """z <- (1-gamma) z + gamma F(z) with gamma = 1/4, tracking the best
     iterate seen.  An attempt ends at a best residual <= 1/12, once the
     best residual has gone 500 steps without a new best, or after `steps`
-    steps, whichever comes first.  The trace gets a row every 100 steps,
-    and a last row with the best residual unless it would repeat the row
-    before."""
+    steps, whichever comes first."""
     count = whole_number(steps, "steps")
     gamma, target, patience = 0.25, DEFAULTS.brouwer_eps, 500
     z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
     best_z = z.copy()
     fz = eval_F(bmap, z)
     best_res = float(np.max(np.abs(fz - z)))
-    trace: List[Tuple[int, float, int]] = [(0, best_res, bmap.ledger.total())]
     it = best_it = 0
     for it in range(1, count + 1):
         z = (1.0 - gamma) * z + gamma * fz
@@ -282,20 +278,14 @@ def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: i
         if res < best_res:
             best_res, best_it = res, it
             best_z = z.copy()
-        if it % 100 == 0:
-            trace.append((it, res, bmap.ledger.total()))
         if best_res <= target or it - best_it >= patience:
             break
-    last = (it, best_res, bmap.ledger.total())
-    if trace[-1] != last:
-        trace.append(last)
     return FixedPointResult(
         z=best_z,
         residual=best_res,
         method="damped",
         iterations=it,
         converged=best_res <= target,
-        trace=trace,
     )
 
 
@@ -471,17 +461,6 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
     z = _propagate(bmap, cut, order, cut_values)
     res = residual(bmap, z)
     return FixedPointResult(z, res, "cycle_cut", it, res <= target)
-
-
-def write_residual_trace(result: FixedPointResult, path) -> None:
-    """Residual trace as CSV: iteration, residual, cumulative ledger total."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "residual", "ledger_total"])
-        for iteration, res, total in result.trace:
-            writer.writerow([iteration, repr(res), total])
 
 
 def find_fixed_point(bmap: BrouwerMap, damped_steps: int = 5000, seed: int = 0) -> FixedPointResult:

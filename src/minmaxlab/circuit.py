@@ -100,10 +100,6 @@ class Assignment:
     def __getitem__(self, node: str) -> Optional[int]:
         return self.values[node]
 
-    @staticmethod
-    def constant(nodes: Sequence[str], value: Optional[int]) -> "Assignment":
-        return Assignment({v: value for v in nodes})
-
 
 def validate_instance(inst: CircuitInstance) -> List[str]:
     """Structural violations as data; empty list means well-formed."""

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 from typing import Optional, Tuple
@@ -58,10 +59,14 @@ def _load_points(path: Path, expected: int) -> np.ndarray:
     """The point file's values, each checked to lie in [0, 1]; errors start with the path."""
     with _naming(path):
         if path.suffix.lower() == ".csv":
-            with path.open() as fh:  # a missing file raises an OSError that has a strerror
+            # a missing file raises an OSError that has a strerror; an empty
+            # one is left to the count check below, without numpy's warning
+            with path.open() as fh, warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 vec = np.loadtxt(fh, delimiter=",", dtype=float).reshape(-1)
         else:
-            vec = np.fromfile(path, dtype="<f8")
+            # frombuffer rejects a size that is not a whole number of float64 values
+            vec = np.frombuffer(path.read_bytes(), dtype="<f8")
         if vec.size != expected:
             raise ValueError(f"expected {expected} values, found {vec.size}")
         check_unit_cube(vec.tolist())
@@ -195,7 +200,8 @@ def _cmd_solve(args) -> Tuple[int, dict]:
     inst = _load_instance(args.instance, "descriptor")
     obj = harness.GdaObjective(inst)
     if args.algo == "grid":
-        gap = harness.grid_search_stationary(obj, args.resolution)[2]
+        # 2 per coordinate: every instance has >= 16 coordinates and 3^16 exceeds the grid budget
+        gap = harness.grid_search_stationary(obj, 2)[2]
         payload = {
             "algorithm": "grid",
             "gap": gap,
@@ -281,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gap-every", type=int, default=100)
-    p.add_argument("--resolution", type=int, default=2, help="grid points per coordinate (default 2: a grid has resolution"
-                   f"^coordinates points, at most {DEFAULTS.grid_search_budget:,}, and the smallest instance has 16 coordinates)")
     p.add_argument("--out", default=None, help="report directory")
     p.set_defaults(func=_cmd_solve)
 

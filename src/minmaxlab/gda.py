@@ -228,13 +228,6 @@ def block_energies(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.array([inst.energy_step(s) for s in _sqnorms(inst, x, y)])
 
 
-def energy(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
-    """E_v: 0 when the v-blocks of x and y are close (squared distance
-    <= 3m), 1 when far (>= 3m + 1)."""
-    x, y = _check_pair(inst, x, y)
-    return float(block_energies(inst, x, y)[inst.bmap.index(node)])
-
-
 def _signals_from_energies(bmap: BrouwerMap, energies: List[float]) -> List[float]:
     """s_w = F_{sibling[w]}(E), in coordinate order."""
     values = bmap.map_values(energies)
@@ -244,12 +237,6 @@ def _signals_from_energies(bmap: BrouwerMap, energies: List[float]) -> List[floa
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = _check_pair(inst, x, y)
     return np.array(_signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist()))
-
-
-def signal(inst: GdaInstance, node: str, x: np.ndarray, y: np.ndarray) -> float:
-    """Gate-typed signal of a single node; ORACLE outputs consume at most
-    one L query (via the interpolation)."""
-    return float(signals(inst, x, y)[inst.bmap.index(node)])
 
 
 def _displacements(inst: GdaInstance, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -438,11 +425,6 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
 # ---------------------------------------------------------------------------
 # descriptor files
 # ---------------------------------------------------------------------------
-
-def load_gda_descriptor(path: str | Path) -> GdaInstance:
-    """Instance from the descriptor file at ``path``; see gda_from_descriptor."""
-    return gda_from_descriptor(_json_loads(Path(path).read_text()), Path(path).parent)
-
 
 def gda_from_descriptor(desc, base: Path) -> GdaInstance:
     """Instance from a parsed descriptor {"circuit": <path relative to ``base``

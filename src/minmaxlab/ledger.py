@@ -7,8 +7,7 @@ map an induced labeling reads under ``F``, the cube map and its
 Jacobian under ``F_evals`` and ``JF_evals``, the feedback-cut solver's
 reduced map under ``cut_evals``, and the objective and its gradient
 under ``f_evals`` and ``grad_f_evals``.
-Counts are whole numbers >= 0 and only ever increase, and per-worker
-ledgers merge by coordinate-wise sum.
+Counts are whole numbers >= 0 and only ever increase.
 
 Each thread records into its own shard, a dict that only that thread
 writes, so ``record`` takes no lock; a shard is created under the lock
@@ -22,7 +21,7 @@ and ``count`` on it is one dict lookup.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from .config import whole_number
 
@@ -32,14 +31,10 @@ _get_ident = threading.get_ident
 class QueryLedger:
     """Monotone counters keyed by oracle name."""
 
-    def __init__(self, counts: Optional[Mapping[str, int]] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        shard: Dict[str, int] = {}
-        if counts:
-            for key, value in counts.items():
-                shard[key] = whole_number(value, f"count for {key!r}")
-        self._shards: Dict[int, Dict[str, int]] = {_get_ident(): shard}
-        self._only: Optional[Dict[str, int]] = shard  # the shard while there is just one
+        self._only: Optional[Dict[str, int]] = {}  # the shard while there is just one
+        self._shards: Dict[int, Dict[str, int]] = {_get_ident(): self._only}
 
     def _new_shard(self) -> Dict[str, int]:
         with self._lock:
@@ -81,13 +76,6 @@ class QueryLedger:
             for key, value in dict(shard).items():
                 out[key] = out.get(key, 0) + value
         return out
-
-    def merge(self, other: "QueryLedger") -> "QueryLedger":
-        """Coordinate-wise sum with another ledger (e.g. per-worker merge)."""
-        merged = QueryLedger(self.snapshot())
-        for key, value in other.snapshot().items():
-            merged.record(key, value)
-        return merged
 
     def __repr__(self) -> str:
         return f"QueryLedger({self.snapshot()!r})"

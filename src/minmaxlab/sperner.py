@@ -25,11 +25,11 @@ its F query itself, hands F an ndarray, requires d finite values back,
 and compares on Python floats with the operations of the float64 formula
 above, so the labels are the same bits.
 
-The exhaustive search and export_labeling_grid share one walk,
-_label_grid, that queries every grid point in row-major order and keeps
-one packed code per point (bit i set when label i is +1) in a flat
-array, not a tuple per point.  The search skips every unit cell whose
-corner codes cannot cover and tests clusters with bitwise OR and AND.
+The exhaustive search labels the grid in one walk, _label_grid, that
+queries every grid point in row-major order and keeps one packed code
+per point (bit i set when label i is +1) in a flat array, not a tuple
+per point.  The search skips every unit cell whose corner codes cannot
+cover and tests clusters with bitwise OR and AND.
 """
 
 from __future__ import annotations
@@ -348,10 +348,3 @@ def find_sperner_solution_exhaustive(inst: SpernerInstance) -> Optional[SpernerS
                     )
     return None
 
-
-def export_labeling_grid(inst: SpernerInstance) -> bytes:
-    """Dense row-major byte grid for d <= 2; bit i of each byte is 1 iff
-    the label in coordinate i is +1."""
-    if inst.d > 2:
-        raise ValueError("dense export supported only for d <= 2")
-    return bytes(_label_grid(inst))

@@ -41,12 +41,6 @@ class TestLedger:
         with pytest.raises(ValueError):
             QueryLedger().record("L", -1)
 
-    def test_merge_is_coordinatewise_sum(self):
-        a = QueryLedger({"L": 2, "F": 1})
-        b = QueryLedger({"L": 5, "lambda": 3})
-        merged = a.merge(b)
-        assert merged.snapshot() == {"L": 7, "F": 1, "lambda": 3}
-
     def test_concurrent_increments_linearizable(self):
         import threading
 
@@ -70,7 +64,8 @@ class TestLedger:
         import threading
 
         rounds = 50000
-        ledger = QueryLedger({"L": 5})
+        ledger = QueryLedger()
+        ledger.record("L", 5)
         start = threading.Barrier(5)
         reads = []
 
@@ -121,41 +116,20 @@ class TestLedger:
             assert ledger.count("L") == 1 + 30 * (round_ + 1)
         assert ledger.snapshot() == {"L": 91}
 
-    def test_merge_of_multi_shard_ledgers(self):
-        import threading
-
-        def sharded(parts):
-            ledger = QueryLedger(parts[0])
-            for counts in parts[1:]:
-                def work(counts=counts):
-                    for key, value in counts.items():
-                        ledger.record(key, value)
-
-                t = threading.Thread(target=work)
-                t.start()
-                t.join(timeout=10)
-                assert not t.is_alive()
-            return ledger
-
-        a = sharded([{"L": 2}, {"L": 3, "F": 1}, {"lambda": 4}])
-        b = sharded([{"F": 5}, {"L": 7, "JF_evals": 1}])
-        assert a.snapshot() == {"L": 5, "F": 1, "lambda": 4}
-        assert a.merge(b).snapshot() == {"L": 12, "F": 6, "lambda": 4, "JF_evals": 1}
-        assert b.merge(a).snapshot() == a.merge(b).snapshot()
-
     @pytest.mark.parametrize("amount", [0.5, -1, -2.0, float("nan"), float("inf"), float("-inf"), "1", None, 1j])
     def test_rejects_non_whole_increments_before_counting(self, amount):
-        ledger = QueryLedger({"L": 1})
+        ledger = QueryLedger()
+        ledger.record("L")
         with pytest.raises(ValueError):
             ledger.record("L", amount)
-        with pytest.raises(ValueError):
-            QueryLedger({"L": amount})
         assert ledger.snapshot() == {"L": 1}
 
     def test_whole_counts_stored_as_int(self):
         import numpy as np
 
-        ledger = QueryLedger({"L": 2.0, "F": np.int64(3)})
+        ledger = QueryLedger()
+        ledger.record("L", 2.0)
+        ledger.record("F", np.int64(3))
         ledger.record("L", 4.0)
         ledger.record("F", np.uint8(1))
         ledger.record("lambda", True)
@@ -325,7 +299,7 @@ class TestCheckAssignment:
 
     def test_purify_needs_one_pure_output(self):
         inst = purify_loop()
-        allbot = Assignment.constant(inst.nodes, BOT)
+        allbot = Assignment(dict.fromkeys(inst.nodes, BOT))
         violated = check_assignment(inst, allbot)
         assert len(violated) == 2  # both PURIFY gates
 

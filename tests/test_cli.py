@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
-from minmaxlab.cli import main
+from minmaxlab.cli import build_parser, main
 from minmaxlab.circuit import Assignment, build_constant_gadget, check_assignment, circuit_from_json, circuit_to_json
 from minmaxlab.config import DEFAULTS
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CIRCUITS = {
     "nor_loop": nor_loop,
@@ -156,10 +159,10 @@ class TestVerify:
 
     def test_gda_verify(self, gda_file, tmp_path, capsys):
         # x = y at a tiled exact fixed point is stationary
-        from minmaxlab.gda import load_gda_descriptor
         from minmaxlab.brouwer import cycle_cut_solve
+        from minmaxlab.cli import _load_instance
 
-        inst = load_gda_descriptor(gda_file)
+        inst = _load_instance(gda_file, "descriptor")
         zstar = cycle_cut_solve(inst.bmap).z
         x = np.tile(zstar, inst.n * inst.m)
         vec = np.concatenate([x, x])
@@ -180,7 +183,7 @@ class TestVerify:
         assert out["warning"] == f"point is not 0.0001-stationary (gap {out['gap']:.3g}); extraction still runs"
         circuit = nor_loop()
         assert out["assignment"] == dict.fromkeys(circuit.nodes, 0)
-        violations = check_assignment(circuit, Assignment.constant(circuit.nodes, 0))
+        violations = check_assignment(circuit, Assignment(dict.fromkeys(circuit.nodes, 0)))
         assert violations
         assert out["violations"] == [g.label() for g in violations]
 
@@ -272,6 +275,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_binary_point_file_with_stray_bytes_exits_two(self, circ_file, tmp_path, capsys):
+        # 4 float64 values and 3 bytes more are not a flat float64 array
+        points = tmp_path / "z.bin"
+        points.write_bytes(np.full(4, 0.5).astype("<f8").tobytes() + b"abc")
+        assert main(["verify", str(circ_file), str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {points}: ")
+
+    def test_empty_csv_prints_only_the_error(self, circ_file, tmp_path):
+        # pytest intercepts warnings, so only a fresh process shows all that reaches stderr
+        points = tmp_path / "e.csv"
+        points.write_text("")
+        out = _python("-m", "minmaxlab.cli", "verify", str(circ_file), str(points))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {points}: expected 4 values, found 0\n"
 
     def test_wrong_length_exits_two(self, circ_file, tmp_path, capsys):
         points = tmp_path / "short.bin"
@@ -417,9 +437,8 @@ class TestSolve:
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
 
-    @pytest.mark.parametrize("flags", [["--resolution", "2"], []], ids=["resolution-2", "default"])
-    def test_grid_algo_on_tiny_instance(self, tmp_path, capsys, flags):
-        # 2 nodes at n = 2: 16 coordinates, so 2 is the only resolution within budget
+    def test_grid_algo_on_tiny_instance(self, tmp_path, capsys):
+        # 2 nodes at n = 2: 16 coordinates, the fewest an instance can have, at 2 points each
         circ = tmp_path / "pair.json"
         circ.write_text(circuit_to_json(oracle_pair()))
         desc = tmp_path / "pair_gda.json"
@@ -428,10 +447,17 @@ class TestSolve:
                 {"circuit": "pair.json", "mode": "scaled", "delta": 0.05, "n": 2, "eps": 1e-4}
             )
         )
-        assert main(["solve", str(desc), "--algo", "grid"] + flags) == 0
+        assert main(["solve", str(desc), "--algo", "grid"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["algorithm"] == "grid"
         assert "gap" in out
+        assert out["ledger"]["grad_f_evals"] == 2**16
+
+    def test_grid_resolution_is_not_an_option(self, gda_file):
+        # 3 points per coordinate on 16 coordinates exceed the grid budget, so 2 is fixed
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(gda_file), "--algo", "grid", "--resolution", "2"])
+        assert exc.value.code == 2
 
     def test_query_report(self, gda_file, tmp_path, capsys):
         out_dir = tmp_path / "reports"
@@ -595,11 +621,28 @@ class TestInstanceFiles:
         assert outputs[0] == outputs[1]
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_import_leaves_networkx_unloaded():
     # networkx is a test-only reference for the feedback cut, never a
     # runtime import
-    code = "import sys, minmaxlab, minmaxlab.cli; print('networkx' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = _python("-c", "import sys, minmaxlab, minmaxlab.cli; print('networkx' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_readme_commands_parse():
+    # a flag removed or renamed in the parser but still documented fails here
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("minmaxlab ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -7,21 +7,20 @@ import pytest
 from minmaxlab.boolinterp import dense_sum_eval
 from minmaxlab.circuit import BOT
 from minmaxlab.gda import (
+    block_energies,
     build_gda_instance,
     decode_gda,
     derive_parameters,
     dichotomy_extract,
     endpoint_gap,
-    energy,
     eval_f,
     eval_grad_f,
-    load_gda_descriptor,
-    signal,
     signals,
     stationarity_gap,
 )
 from minmaxlab.smoothstep import StepSpec, step_eval
 from minmaxlab.circuit import circuit_to_json
+from minmaxlab.cli import _load_instance
 
 from circuits import nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
 from oracles import central_diff, rel_err
@@ -136,16 +135,11 @@ class TestInstance:
 
     def test_unknown_node_rejected(self):
         inst = scaled(nor_loop(), n=2)
-        x = np.full(inst.dim, 0.5)
         assert inst.bmap.index("c") == 2
         with pytest.raises(ValueError):
             inst.bmap.index("zz")
         with pytest.raises(ValueError):
             inst.flat_index("zz", 1, 1)
-        with pytest.raises(ValueError):
-            energy(inst, "zz", x, x)
-        with pytest.raises(ValueError):
-            signal(inst, "zz", x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ class TestEnergy:
         rng = np.random.default_rng(2)
         x = rng.random(inst.dim)
         for v in inst.node_order:
-            assert energy(inst, v, x, x) == 0.0
+            assert block_energies(inst, x, x)[inst.bmap.index(v)] == 0.0
 
     def test_one_at_integer_distance(self):
         # m = 2, n = 4: block has 8 coordinates; 3m + 1 = 7 ones exactly
@@ -169,14 +163,14 @@ class TestEnergy:
         bky[0, :, :] = 1.0
         bky[0, 3, 1] = 0.0  # 7 of 8 coordinates differ by 1
         y = bky.reshape(inst.dim)
-        assert energy(inst, "a", x, y) == 1.0
-        assert energy(inst, "b", x, y) == 0.0
+        assert block_energies(inst, x, y)[inst.bmap.index("a")] == 1.0
+        assert block_energies(inst, x, y)[inst.bmap.index("b")] == 0.0
 
     def test_strictly_interior_between_knees(self):
         inst = scaled(oracle_pair(), n=4)
         rng = np.random.default_rng(3)
         x, y = pair_with_block_targets(inst, rng, {"a": 6.5})
-        e = energy(inst, "a", x, y)
+        e = block_energies(inst, x, y)[inst.bmap.index("a")]
         assert 0.0 < e < 1.0
 
     def test_matches_direct_step(self):
@@ -187,7 +181,7 @@ class TestEnergy:
         for v in inst.node_order:
             vi = inst.node_order.index(v)
             sq = float(np.sum((inst.blocks(x)[vi] - inst.blocks(y)[vi]) ** 2))
-            assert energy(inst, v, x, y) == step_eval(spec, sq)
+            assert block_energies(inst, x, y)[inst.bmap.index(v)] == step_eval(spec, sq)
 
 
 class TestSignals:
@@ -195,14 +189,14 @@ class TestSignals:
         inst = scaled(nor_loop(), n=4)
         rng = np.random.default_rng(7)
         x = rng.random(inst.dim)
-        assert signal(inst, "a", x, x) == 1.0  # g(0 + 0)
+        assert signals(inst, x, x)[inst.bmap.index("a")] == 1.0  # g(0 + 0)
 
     def test_purify_signals_at_zero_energy(self):
         inst = scaled(purify_loop(), n=4)
         x = np.full(inst.dim, 0.25)
         # first output ell(-1/4) = 0, second output ell(+1/4) = 0
-        assert signal(inst, "b", x, x) == 0.0
-        assert signal(inst, "c", x, x) == 0.0
+        assert signals(inst, x, x)[inst.bmap.index("b")] == 0.0
+        assert signals(inst, x, x)[inst.bmap.index("c")] == 0.0
 
     def test_purify_signals_at_full_energy(self):
         inst = scaled(purify_loop(), n=4)
@@ -212,9 +206,9 @@ class TestSignals:
         # block a: 3m + 1 = 13 unit coordinates out of 16
         bky[0].flat[:13] = 1.0
         y = bky.reshape(inst.dim)
-        assert energy(inst, "a", x, y) == 1.0
-        assert signal(inst, "b", x, y) == 1.0  # ell(1 - 1/4)
-        assert signal(inst, "c", x, y) == 1.0  # ell(1 + 1/4)
+        assert block_energies(inst, x, y)[inst.bmap.index("a")] == 1.0
+        assert signals(inst, x, y)[inst.bmap.index("b")] == 1.0  # ell(1 - 1/4)
+        assert signals(inst, x, y)[inst.bmap.index("c")] == 1.0  # ell(1 + 1/4)
 
     def test_oracle_signal_on_boolean_energies(self):
         inst = scaled(oracle_purify(table=(0, 1, 1, 0)), n=4)  # XOR(a, c)
@@ -224,7 +218,7 @@ class TestSignals:
         bky[0].flat[:10] = 1.0  # block a far: E_a = 1 (3m + 1 = 10 of 12)
         y = bky.reshape(inst.dim)
         before = inst.ledger.count("L")
-        assert signal(inst, "b", x, y) == 1.0  # L(1, 0) = XOR = 1
+        assert signals(inst, x, y)[inst.bmap.index("b")] == 1.0  # L(1, 0) = XOR = 1
         assert inst.ledger.count("L") - before <= 1
 
 
@@ -415,7 +409,7 @@ class TestEvalF:
             gvec = eval_F(inst.bmap, xi) - xi
             by[v, i] = bx[v, i] + t * gvec
             x, y = bx.reshape(inst.dim), by.reshape(inst.dim)
-            assert signal(inst, "a", x, y) > 0.0
+            assert signals(inst, x, y)[inst.bmap.index("a")] > 0.0
             vals.append(eval_f(inst, x, y))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -519,7 +513,7 @@ class TestGradient:
         h = 1e-5
         inst = scaled(nor_loop(), n=4)
         x, y = pair_with_block_targets(inst, rng, {"a": sq_a, "b": 4.0, "c": 4.0})
-        e_a = energy(inst, "a", x, y)
+        e_a = block_energies(inst, x, y)[inst.bmap.index("a")]
         assert abs(e_a + (0.25 if sq_a < 9.5 else -0.25) - 0.5) < 0.02
         gx, gy = eval_grad_f(inst, x, y)
         for j in range(inst.dim):
@@ -725,7 +719,7 @@ class TestDescriptor:
         }
         desc_path = tmp_path / "inst.json"
         desc_path.write_text(json.dumps(desc))
-        inst = load_gda_descriptor(desc_path)
+        inst = _load_instance(desc_path, "descriptor")
         assert inst.dim == 5 * 4 * 5
         assert inst.params.mode == "scaled"
 
@@ -740,7 +734,7 @@ class TestDescriptor:
         }
         desc_path = tmp_path / "inline.json"
         desc_path.write_text(json.dumps(desc))
-        inst = load_gda_descriptor(desc_path)
+        inst = _load_instance(desc_path, "descriptor")
         assert inst.m == 4
 
     @pytest.mark.parametrize("inner", [False, True], ids=["descriptor", "circuit-file"])
@@ -751,4 +745,4 @@ class TestDescriptor:
         (tmp_path / "circ.json").write_text(json.dumps(circ))
         (tmp_path / "inst.json").write_text(json.dumps(desc))
         with pytest.raises(ValueError, match="NaN is not a JSON number"):
-            load_gda_descriptor(tmp_path / "inst.json")
+            _load_instance(tmp_path / "inst.json", "descriptor")

@@ -9,9 +9,9 @@ from minmaxlab.sperner import (
     SpernerInstance,
     SpernerSolution,
     TEST_MAPS,
+    _label_grid,
     brouwer_to_labeling,
     decode_sperner_to_fixed_point,
-    export_labeling_grid,
     find_sperner_solution_exhaustive,
     get_test_map,
     grid_to_cube,
@@ -312,20 +312,14 @@ class TestDecode:
             assert fmap.lipschitz_inf <= 2.0
 
 
-class TestExport:
+class TestLabelGrid:
     def test_dense_grid_bytes(self):
         inst = tiny_1d_instance()
-        data = export_labeling_grid(inst)
-        assert data == bytes([1, 0, 0])
+        assert bytes(_label_grid(inst)) == bytes([1, 0, 0])
 
     def test_2d_bit_packing(self):
         inst = brouwer_to_labeling(TEST_MAPS["constant"].fn, 2, 0.5)
-        data = export_labeling_grid(inst)
+        data = _label_grid(inst)
         assert len(data) == inst.M**2
         # first grid point (1,1) is on both low faces: labels (+1,+1) -> 0b11
         assert data[0] == 3
-
-    def test_export_gated_to_2d(self):
-        inst = SpernerInstance(M=3, d=3, labeling=lambda p: (1, 1, 1))
-        with pytest.raises(ValueError):
-            export_labeling_grid(inst)
