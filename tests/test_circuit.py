@@ -116,6 +116,24 @@ class TestLedger:
             assert ledger.count("L") == 1 + 30 * (round_ + 1)
         assert ledger.snapshot() == {"L": 91}
 
+    def test_shards_with_different_keys_sum_by_key(self):
+        import threading
+
+        ledger = QueryLedger()
+        ledger.record("L", 2)
+        for counts in [{"L": 3, "F": 1}, {"lambda": 4}, {"F": 5, "JF_evals": 1}]:
+            def work(counts=counts):
+                for key, value in counts.items():
+                    ledger.record(key, value)
+
+            t = threading.Thread(target=work)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert ledger.snapshot() == {"L": 5, "F": 6, "lambda": 4, "JF_evals": 1}
+        assert ledger.count("F") == 6 and ledger.count("cut_evals") == 0
+        assert ledger.total() == 16
+
     @pytest.mark.parametrize("amount", [0.5, -1, -2.0, float("nan"), float("inf"), float("-inf"), "1", None, 1j])
     def test_rejects_non_whole_increments_before_counting(self, amount):
         ledger = QueryLedger()

@@ -323,3 +323,10 @@ class TestLabelGrid:
         assert len(data) == inst.M**2
         # first grid point (1,1) is on both low faces: labels (+1,+1) -> 0b11
         assert data[0] == 3
+
+    def test_nine_coordinates_codes_exceed_a_byte(self):
+        # label i is +1 on the low face of coordinate i, so (1,...,1) codes 0b111111111
+        inst = SpernerInstance(M=2, d=9, labeling=lambda p: tuple(1 if c == 1 else -1 for c in p))
+        data = _label_grid(inst)
+        assert len(data) == 2**9 and inst.ledger.snapshot() == {"lambda": 2**9}
+        assert data[0] == 511 and data[1] == 255 and data[-1] == 0
