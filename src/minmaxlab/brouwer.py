@@ -22,15 +22,18 @@ through BrouwerMap.sibling) all run these kernels.  The templates are
 plateau-first: a NOR input sum at or beyond a knee of g (1/3, 2/3), or a
 PURIFY input at or beyond a knee of ell (5/12, 7/12), gets the step's
 constant value and zero slope (signed as the step gives it) from
-NamedStep.plateau; only inputs inside the transition band evaluate G or
-ELL, so smoothstep stays the one formula.
+NamedStep.plateau; only inputs inside the transition band call
+step_eval or step_d1 on the spec of G or ELL, through the affine output
+NamedStep.value and NamedStep.d1 apply, so smoothstep stays the one
+formula.
 
 The generated source is safe to compile: it is made of the fixed
-templates, integer coordinates and float reprs of the plateau constants
-and PURIFY offsets, and never holds a node name or anything else read
-from a circuit file.  It runs with this module's globals, so G, ELL,
-interp_eval and interp_grad are looked up here at each call, and a
-wrapper put on any of them after build_brouwer sees every call.
+templates, integer coordinates and float reprs of the plateau constants,
+the output offsets and signs of G and ELL, and the PURIFY offsets, and
+never holds a node name or anything else read from a circuit file.  It
+runs with this module's globals, so step_eval, step_d1, interp_eval and
+interp_grad are looked up here at each call, and a wrapper put on any of
+them after build_brouwer sees every call.
 
 eval_F and eval_JF take one point, and each call charges exactly one
 F_evals / JF_evals, so calls and ledger counts agree (the benchmark's
@@ -89,7 +92,7 @@ from .circuit import (
 )
 from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
-from .smoothstep import ELL, G
+from .smoothstep import ELL, G, step_d1, step_eval
 
 _FLOAT64 = np.dtype(np.float64)
 Kernel = Callable[[Sequence[float]], List[float]]
@@ -100,15 +103,20 @@ Kernel = Callable[[Sequence[float]], List[float]]
 # coordinates) and L the oracle; a NOR slope is one number, given once
 # per input.
 _TEMPLATES = {
-    NOR: ("{g_lo} if (x := {a}) <= {g1} else {g_hi} if x >= {g2} else G(x)",
-          "(s := {g_flat} if (x := {a}) <= {g1} or x >= {g2} else G.d1(x)), s"),
-    PURIFY: ("{e_lo} if (x := {a}) <= {e1} else {e_hi} if x >= {e2} else ELL(x)",
-             "{e_flat} if (x := {a}) <= {e1} or x >= {e2} else ELL.d1(x)"),
+    NOR: ("{g_lo} if (x := {a}) <= {g1} else {g_hi} if x >= {g2} else {g_off} + {g_sign} * step_eval(g_spec, x)",
+          "(s := {g_flat} if (x := {a}) <= {g1} or x >= {g2} else {g_sign} * step_d1(g_spec, x)), s"),
+    PURIFY: ("{e_lo} if (x := {a}) <= {e1} else {e_hi} if x >= {e2} else {e_off} + {e_sign} * step_eval(ell_spec, x)",
+             "{e_flat} if (x := {a}) <= {e1} or x >= {e2} else {e_sign} * step_d1(ell_spec, x)"),
     ORACLE: ("interp_eval([{a}], L)",
              "*interp_grad([{a}], L).tolist()"),
 }
-_PLATEAUS = dict(zip(("g1", "g2", "g_lo", "g_hi", "g_flat", "e1", "e2", "e_lo", "e_hi", "e_flat"),
-                     map(repr, G.plateau() + ELL.plateau())))
+# the knees, plateau values and affine output of g and ell; a band value
+# is NamedStep.value's out_offset + out_sign * step_eval(spec, x), and a
+# band slope NamedStep.d1's out_sign * step_d1(spec, x)
+_PLATEAUS = dict(zip(
+    ("g1", "g2", "g_lo", "g_hi", "g_flat", "g_off", "g_sign", "e1", "e2", "e_lo", "e_hi", "e_flat", "e_off", "e_sign"),
+    map(repr, G.plateau() + (G.out_offset, G.out_sign) + ELL.plateau() + (ELL.out_offset, ELL.out_sign)),
+))
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,7 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
 
     # only templates, int coordinates and float reprs: no node name
     source = (
-        "def kernels(L):\n"
+        "def kernels(L, g_spec, ell_spec):\n"
         + kernel("map_values", 0)
         + kernel("map_slopes", 1)
         + "    return map_values, map_slopes, ("
@@ -197,7 +205,7 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
     namespace: Dict[str, Callable] = {}
     exec(compile(source, "<brouwer kernels>", "exec"), globals(), namespace)
     return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(inputs), tuple(sibling), fan_in,
-                      jac_index, *namespace["kernels"](inst.oracle), source)
+                      jac_index, *namespace["kernels"](inst.oracle, G.spec, ELL.spec), source)
 
 
 def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:

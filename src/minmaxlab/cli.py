@@ -160,14 +160,21 @@ def _cmd_verify(args) -> Tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own message for a negative seed does not name the flag
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_grad_check(args) -> Tuple[int, dict]:
-    rng = np.random.default_rng(args.seed)
     h = args.h
     harness.check_fd_step(h, "--h")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 <= args.tol < math.inf:  # NaN fails
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    _check_seed(args.seed)
+    rng = np.random.default_rng(args.seed)
     inst = _load_instance(args.instance)
     if isinstance(inst, gda.GdaInstance):
         dim = 2 * inst.dim
@@ -209,6 +216,7 @@ def _cmd_solve(args) -> Tuple[int, dict]:
             "mode": inst.params.mode,
         }
         return 0, payload
+    _check_seed(args.seed)
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
     run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
     extra = {}

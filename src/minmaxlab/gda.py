@@ -81,7 +81,8 @@ _MAX_INT64 = 2**63 - 1
 @dataclass(frozen=True)
 class GdaParams:
     """Instance parameters; in paper mode `feasible` reports whether n is
-    representable in 64 bits (it never is for m >= 1)."""
+    representable in 64 bits (it never is for m >= 1), and n is 0 where
+    even a double overflows."""
 
     m: int
     rho: float
@@ -118,18 +119,22 @@ def derive_parameters(
         raise ValueError(f"rho must lie in (0,1), got {rho!r}")
     if mode == "paper":
         d_val = rho**4 / (400.0 * m**2 * math.exp(26.0))
-        n_float = math.ceil(2.0**13 * math.exp(13.0) * m**4 / d_val**3)
-        log2_n = 13.0 + 13.0 / math.log(2.0) + 4.0 * math.log2(m) - 3.0 * math.log2(d_val)
+        # log2 n from rho and m in log space: for a small rho, n overflows a
+        # double and delta**3 underflows to 0, and the record still says how large n is
+        log2_d = 4.0 * math.log2(rho) - math.log2(400.0) - 2.0 * math.log2(m) - 26.0 / math.log(2.0)
+        log2_n = 13.0 + 13.0 / math.log(2.0) + 4.0 * math.log2(m) - 3.0 * log2_d
+        d_cubed = d_val**3
+        n_float = 2.0**13 * math.exp(13.0) * m**4 / d_cubed if d_cubed else math.inf
+        n = math.ceil(n_float) if n_float < math.inf else 0
         e_val = min(d_val / n_float, d_val**2 / (m**4 * 2.0**4 * math.exp(14.0)))
-        feasible = n_float <= _MAX_INT64
         return GdaParams(
             m=m,
             rho=rho,
             delta=d_val,
-            n=int(n_float),
+            n=n,
             eps=e_val,
             mode="paper",
-            feasible=feasible,
+            feasible=0 < n <= _MAX_INT64,
             log2_n=log2_n,
         )
     if mode == "scaled":

@@ -54,7 +54,9 @@ class StepSpec:
 
 
 def _eta(x: float) -> float:
-    """exp(-1/x) for x > 0, else 0.  Total: 1/x never divides by zero."""
+    """exp(-1/x) for x > 0, else 0.  Total: 1/x never divides by zero.
+
+    step_eval and step_d1 compute it inline, with the same operations."""
     if x <= 0.0:
         return 0.0
     # For tiny x, exp(-1/x) underflows to 0.0, the correct limit, but exp
@@ -75,8 +77,12 @@ def step_eval(spec: StepSpec, x: float) -> float:
         return 1.0
     a = x - spec.c1
     b = spec.c2 - x
-    A = _eta(a)
-    B = _eta(b)
+    # _eta(a) and _eta(b) inline, each with _eta's guard against a
+    # subnormal exp; inside the band a and b are > 0
+    v = -1.0 / a
+    A = 0.0 if v < -745.0 else math.exp(v)
+    v = -1.0 / b
+    B = 0.0 if v < -745.0 else math.exp(v)
     s = A + B
     if s == 0.0:
         # Both eta values underflowed (possible only for pathologically
@@ -92,8 +98,11 @@ def step_d1(spec: StepSpec, x: float) -> float:
         return 0.0
     a = x - spec.c1
     b = spec.c2 - x
-    A = _eta(a)
-    B = _eta(b)
+    # _eta(a) and _eta(b) inline, as in step_eval
+    v = -1.0 / a
+    A = 0.0 if v < -745.0 else math.exp(v)
+    v = -1.0 / b
+    B = 0.0 if v < -745.0 else math.exp(v)
     s = A + B
     if s == 0.0:
         return 0.0

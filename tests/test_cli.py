@@ -352,6 +352,16 @@ class TestGradCheck:
         assert captured.out == ""
         assert "--points must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, circ_file, gda_file, capsys, seed):
+        assert main(["grad-check", str(circ_file), f"--seed={seed}"]) == 2
+        assert main(["grad-check", str(gda_file), f"--seed={seed}"]) == 2
+        for algo in ("pgda", "extragradient"):
+            assert main(["solve", str(gda_file), "--algo", algo, "--steps", "2", f"--seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"error: --seed must be >= 0, got {seed}\n") == 4
+
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_circuit_error_is_the_worst_jacobian_entry(self, tmp_path, capsys, name):
         path = tmp_path / "circuit.json"
@@ -535,9 +545,11 @@ class TestSolve:
         assert out == {"reports": 1, "ledger_totals": {"L": 4, "F_evals": 2}}
 
 
+# paper-mode descriptors at a few rho
+PAPER = {"paper-rho-twelfth": 1.0 / 12.0, "paper-rho-1e-22": 1e-22, "paper-rho-1e-30": 1e-30}
 FILE_KINDS = ["circuit", "descriptor-path", "descriptor-inline", "descriptor-no-mode",
               "list", "mode-only", "not-json", "missing", "nan-note",
-              "inner-missing", "inner-not-json", "inner-list"]
+              "inner-missing", "inner-not-json", "inner-list", *PAPER]
 DESCRIPTORS = {"descriptor-path", "descriptor-inline", "descriptor-no-mode"}
 # a descriptor whose circuit file is missing, not JSON, or not a JSON object
 INNER = {"inner-missing": None, "inner-not-json": "{oops", "inner-list": "[1]"}
@@ -568,6 +580,9 @@ class TestInstanceFiles:
             "mode-only": {"mode": "scaled"},
             # strict JSON has no NaN, even where nothing reads the value
             "nan-note": {**json.loads(pair), "oracle": {"kind": "truth_table", "data": [0, 1], "note": math.nan}},
+            # paper-scale n never fits 64 bits; at these rho it overflows a
+            # double, then delta**3 underflows to 0
+            **{kind: {"circuit": "pair.json", "mode": "paper", "rho": rho} for kind, rho in PAPER.items()},
             **{inner: {"circuit": f"{inner}-circuit.json", **params} for inner in INNER},
         }
         if kind in INNER and INNER[kind] is not None:
@@ -610,6 +625,13 @@ class TestInstanceFiles:
                 assert captured.err.count(str(inner)) == 1
         else:
             assert json.loads(captured.out)
+
+    @pytest.mark.parametrize("kind", sorted(PAPER))
+    def test_paper_mode_reports_infeasible(self, tmp_path, capsys, kind):
+        path = self._write(tmp_path, kind)
+        assert main(["build-gda", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: paper-scale parameters are numerically infeasible (log2 n = ")
 
     @pytest.mark.parametrize("command", ["build-gda", "verify", "grad-check", "solve"])
     def test_descriptor_without_mode_is_scaled(self, tmp_path, capsys, command):

@@ -73,6 +73,19 @@ class TestParameters:
             assert not p.feasible
             assert p.log2_n > 63.0
 
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    @pytest.mark.parametrize("rho", [1e-21, 1e-30, 1e-80, 5e-324])
+    def test_paper_mode_small_rho_is_an_infeasible_record(self, m, rho):
+        # n overflows a double and delta**3 underflows to 0 here; log2 n
+        # still follows the closed form, in log space
+        p = derive_parameters(m=m, rho=rho, mode="paper")
+        assert not p.feasible and p.as_dict()["n"] is None
+        log2_delta = 4 * math.log2(rho) - math.log2(400 * m**2) - 26 / math.log(2)
+        expected = 13 + 13 / math.log(2) + 4 * math.log2(m) - 3 * log2_delta
+        assert math.isfinite(p.log2_n) and p.log2_n == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(ValueError, match="infeasible"):
+            build_gda_instance(nor_loop(), p)
+
     def test_infeasible_params_cannot_build(self):
         p = derive_parameters(m=3, mode="paper")
         with pytest.raises(ValueError, match="infeasible"):

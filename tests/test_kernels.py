@@ -260,11 +260,11 @@ class TestNodeNamesNeverBecomeCode:
         )
 
     # every name the source may use: the kernel and closure names, the
-    # template keywords, the steps and the interpolation
+    # template keywords, the steps and their specs, and the interpolation
     ALLOWED = {
         "def", "return", "lambda", "if", "else", "or",
         "kernels", "map_values", "map_slopes", "L", "z", "x", "s",
-        "G", "ELL", "d1", "interp_eval", "interp_grad", "tolist",
+        "step_eval", "step_d1", "g_spec", "ell_spec", "interp_eval", "interp_grad", "tolist",
     }
 
     @pytest.mark.parametrize("names", [HOSTILE[:3], HOSTILE[1:], HOSTILE[3:] + HOSTILE[:2]])
@@ -290,9 +290,9 @@ class TestNodeNamesNeverBecomeCode:
 
 
 class TestModuleGlobalsAtCallTime:
-    """Kernels look up G, ELL, interp_eval and interp_grad in brouwer's
-    globals on every call, so a wrapper installed after build_brouwer
-    (as bench/spans.py installs its spans) sees every call."""
+    """Kernels look up step_eval, step_d1, interp_eval and interp_grad in
+    brouwer's globals on every call, so a wrapper installed after
+    build_brouwer (as bench/spans.py installs its spans) sees every call."""
 
     def test_oracle_rows_call_the_patched_interpolation(self, monkeypatch):
         bmap = build_brouwer(oracle_purify())
@@ -311,21 +311,11 @@ class TestModuleGlobalsAtCallTime:
     def test_band_rows_call_the_patched_steps(self, monkeypatch):
         bmap = build_brouwer(nor_loop())
         seen = []
-
-        class Spy:
-            def __init__(self, step, name):
-                self.step, self.name = step, name
-
-            def __call__(self, x):
-                seen.append(self.name)
-                return self.step(x)
-
-            def d1(self, x):
-                seen.append(self.name + ".d1")
-                return self.step.d1(x)
-
-        monkeypatch.setattr(brouwer, "G", Spy(G, "G"))
-        monkeypatch.setattr(brouwer, "ELL", Spy(ELL, "ELL"))
+        curve = {G.spec: "G", ELL.spec: "ELL"}
+        for name, suffix in (("step_eval", ""), ("step_d1", ".d1")):
+            original = getattr(brouwer, name)
+            monkeypatch.setattr(brouwer, name,
+                                lambda spec, x, f=original, s=suffix: seen.append(curve[spec] + s) or f(spec, x))
         z = np.array([0.25, 0.25, 0.25])  # NOR sum 1/2, PURIFY inputs 1/2 and 0
         eval_F(bmap, z)
         eval_JF(bmap, z)

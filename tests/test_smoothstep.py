@@ -89,6 +89,18 @@ class TestStepEval:
         assert math.exp(-1 / x) != 0.0
         assert _eta(x) == 0.0
 
+    def test_inline_eta_guards_round_a_subnormal_exp_to_zero(self):
+        # step_eval and step_d1 compute eta inline; without the guard,
+        # exp(-745.1) makes the first 1e-322 and the slopes 5.6e-317
+        spec, a = G.spec, 1 / 745.1
+        assert step_eval(spec, spec.c1 + a) == 0.0
+        assert step_d1(spec, spec.c1 + a) == 0.0
+        assert step_d1(spec, spec.c2 - a) == 0.0
+        # both eta values round to 0 just above the midpoint of a step this
+        # narrow, so the value is the limit 1; without the guard it is 0
+        narrow = StepSpec(0.0, 1 / 745.03 + 1 / 745.05)
+        assert step_eval(narrow, 1 / 745.03) == 1.0
+
 
 class TestDerivatives:
     def test_d1_zero_on_plateaus_and_knees(self):
