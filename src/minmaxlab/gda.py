@@ -36,6 +36,10 @@ the signal sensitivities of downstream gates:
     Delta_q = sum_{w in Out(q)} H_w * step'_{3m,3m+1}(||x^q - y^q||^2)
               * ds_w/dE_q.
 
+F is evaluated, one counted eval_F per replica in block order, only at the blocks
+need = live | fed: live = {w : s_w != 0}, fed = the outputs w of fan-in edges (q, w)
+with step'(||x^q - y^q||^2) != 0; any other H_w is a 0.0 stand-in, times s_w = 0 or unread.
+
 A pair (x, y) solves the stationarity problem at tolerance eps when no
 coordinate admits a feasible first-order improvement larger than eps;
 since each improvement expression is affine in the moved coordinate, the
@@ -244,10 +248,13 @@ def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(_signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist()))
 
 
-def _displacements(inst: GdaInstance, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """G(xi) = F(xi) - xi at the replica midpoints xi = (bx + by) / 2, one eval_F each, in order."""
-    xi = 0.5 * (bx + by)
-    return np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
+def _displacements(inst: GdaInstance, bx: np.ndarray, by: np.ndarray, need: List[int]) -> np.ndarray:
+    """G(xi) = F(xi) - xi at the replica midpoints xi = (bx + by) / 2 of the blocks
+    in ascending ``need``, one eval_F each, block then replica; 0.0 at the other blocks."""
+    disp = np.zeros(bx.shape)
+    xi = 0.5 * (bx[need] + by[need])
+    disp[need] = np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
+    return disp
 
 
 def _gadgets(disp: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -270,12 +277,13 @@ def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
-    """Objective value; costs at most (n*m + 1) * |V| oracle queries."""
+    """Objective value; n eval_F per live block (s_w != 0), whose H_w alone is read."""
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("f_evals")
     sig = _signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist())
     bx, by = inst.blocks(x), inst.blocks(y)
-    H = _gadgets(_displacements(inst, bx, by), bx, by)
+    live = [w for w, s in enumerate(sig) if s != 0.0]
+    H = _gadgets(_displacements(inst, bx, by, live), bx, by)
     return float(np.dot(sig, H)) + regularizer(inst, x, y)
 
 
@@ -292,31 +300,23 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     m, bmap = inst.m, inst.bmap
     sq = _sqnorms(inst, x, y)
     energies = np.array([inst.energy_step(s) for s in sq])
-    ephi1 = np.array([inst.energy_step.d1(s) for s in sq])
+    ephi1 = [inst.energy_step.d1(s) for s in sq]
     sig = np.array(_signals_from_energies(bmap, energies.tolist()))
 
-    # Delta_q vanishes wherever the energy step sits on a plateau, which
-    # is the common regime; the gadget values H (and their map queries)
-    # are needed only when some block is in transition.
-    delta_q = np.zeros(m)
-    live = np.flatnonzero(sig != 0.0)  # a zero signal silences a block's gadget term
-    if np.any(ephi1 != 0.0):
-        disp = _displacements(inst, bx, by)
-        H = _gadgets(disp, bx, by)
-        slopes = bmap.map_slopes(energies.tolist())
-        # sum over w in Out(q) of H_w * ds_w/dE_q, added in gate order;
-        # ds_w/dE_q = dF_{sibling[w]}/dz_q, entry k of the map's slopes
-        sens = [0] * m
-        for u, w, k in bmap.fan_in:
+    live = np.flatnonzero(sig != 0.0)
+    # Delta_q reads H_w and the slopes (L queries) only on edges (q, w) with q in transition
+    fed = [(u, w, k) for u, w, k in bmap.fan_in if ephi1[u] != 0.0]
+    disp = _displacements(inst, bx, by, sorted(set(live.tolist()).union(w for _, w, _ in fed)))
+    sens = np.zeros(m)
+    if fed:
+        H, slopes = _gadgets(disp, bx, by), bmap.map_slopes(energies.tolist())
+        # sens[q] sums H_w * ds_w/dE_q over w in Out(q) in gate order; ds_w/dE_q = dF_{sibling[w]}/dz_q = slopes[k]
+        for u, w, k in fed:
             sens[u] += H[w] * slopes[k]
-        for q in range(m):
-            if ephi1[q] != 0.0:
-                delta_q[q] = ephi1[q] * sens[q]
-        gvec = disp[live]
-    else:
-        gvec = _displacements(inst, bx[live], by[live])
+    gvec = disp[live]
 
-    coupling = 2.0 * (inst.weights[None, :, None] + delta_q[:, None, None]) * (bx - by)
+    # Delta_q = step' * sens is +-0.0 where step' is 0, as no edge of fed leaves q
+    coupling = 2.0 * (inst.weights[None, :, None] + (sens * ephi1)[:, None, None]) * (bx - by)
     gx, gy = coupling.copy(), -coupling
     points = (0.5 * (bx[live] + by[live])).reshape(-1, m)
     jac_g = np.array([eval_JF(bmap, p) for p in points]).reshape(gvec.shape + (m,)) - np.eye(m)

@@ -656,6 +656,40 @@ def test_import_leaves_networkx_unloaded():
     assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
+NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+from minmaxlab.boolinterp import BoolOracle, interp_grad
+from minmaxlab.brouwer import build_brouwer, find_fixed_point
+from minmaxlab.circuit import build_constant_gadget
+from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_grad_f
+from minmaxlab.sperner import brouwer_to_labeling, find_sperner_solution_exhaustive, get_test_map
+
+circuit = build_constant_gadget().instance
+inst = build_gda_instance(circuit, derive_parameters(12, mode="scaled", delta=0.05, n=4, eps=1e-4))
+x = np.full(inst.dim, 0.5)
+y = x.copy()
+t = ((3 * inst.m + 0.5) / (inst.n * inst.m)) ** 0.5  # block v5 mid-transition
+inst.blocks(x)[4] -= t / 2
+inst.blocks(y)[4] += t / 2
+eval_f(inst, x, y)
+eval_grad_f(inst, x, y)
+find_fixed_point(build_brouwer(circuit))
+fmap = get_test_map("smoothed_rotation")
+assert find_sperner_solution_exhaustive(brouwer_to_labeling(fmap.fn, fmap.d, 0.3)) is not None
+interp_grad([0.1, 0.9], BoolOracle.from_truth_table([0, 1, 1, 0]))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_hot_paths_leave_numpy_ma_unloaded():
+    # numpy imports numpy.ma lazily (np.union1d does, for one), and loading
+    # it adds over 1 MB of resident memory to every run that touches it
+    out = _python("-c", NUMPY_MA_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_readme_commands_parse():
     # a flag removed or renamed in the parser but still documented fails here
     readme = (ROOT / "README.md").read_text()

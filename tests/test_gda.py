@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minmaxlab.boolinterp import dense_sum_eval
-from minmaxlab.circuit import BOT
+from minmaxlab.circuit import BOT, build_constant_gadget
 from minmaxlab.gda import (
     block_energies,
     build_gda_instance,
@@ -15,6 +15,7 @@ from minmaxlab.gda import (
     endpoint_gap,
     eval_f,
     eval_grad_f,
+    regularizer,
     signals,
     stationarity_gap,
 )
@@ -435,6 +436,34 @@ class TestEvalF:
         budget = (inst.n * inst.m + 1) * len(inst.node_order)
         assert inst.ledger.count("L") - before <= budget
 
+    def test_all_silent_blocks_cost_no_map_evaluations(self):
+        # nor_loop = PURIFY(a -> b, c), NOR(b, c -> a); E = (0, 1, 1) makes
+        # s_b = ell(-1/4), s_c = ell(1/4) and s_a = g(2) all 0, so no
+        # gadget term is read: no eval_F, and no oracle to query
+        inst = scaled(nor_loop(), n=4)
+        x = np.zeros(inst.dim)
+        y = x.copy()
+        inst.blocks(y)[1:] = 1.0  # squared distance n * m = 12 >= 3m + 1
+        assert signals(inst, x, y).tolist() == [0.0, 0.0, 0.0]
+        assert eval_f(inst, x, y) == regularizer(inst, x, y)
+        assert inst.ledger.snapshot() == {"f_evals": 1}
+
+    def test_all_silent_oracle_blocks_query_only_the_signal(self):
+        # oracle_purify at x = y: the ORACLE signal L(0, 0) = 0 costs its one
+        # query, both PURIFY signals are 0, and F is never evaluated
+        inst = scaled(oracle_purify(table=(0, 1, 1, 0)), n=16)
+        x = np.random.default_rng(3).random(inst.dim)
+        assert eval_f(inst, x, x) == 0.0
+        assert inst.ledger.snapshot() == {"f_evals": 1, "L": 1}
+
+    def test_one_live_block_costs_n_map_evaluations(self):
+        # nor_loop at x = y: only s_a = g(0) = 1 is nonzero
+        inst = scaled(nor_loop(), n=4)
+        x = np.random.default_rng(5).random(inst.dim)
+        assert signals(inst, x, x).tolist() == [1.0, 0.0, 0.0]
+        eval_f(inst, x, x)
+        assert inst.ledger.snapshot() == {"f_evals": 1, "F_evals": inst.n}
+
     def test_domain_rejection(self):
         inst = scaled(nor_loop(), n=2)
         good = np.full(inst.dim, 0.5)
@@ -547,6 +576,20 @@ class TestGradient:
         eval_grad_f(inst, x, x)
         assert inst.ledger.count("L") - before_l == 1  # the ORACLE signal
         assert inst.ledger.count("JF_evals") == before_jf  # all signals are 0
+
+    def test_transition_evaluates_only_live_and_fed_blocks(self):
+        # the gadget at x = y except v5, whose energy sits mid-transition:
+        # live = {v4, v7, v8, v9, v12} (v6 needs E_v5 > 2/3) and fed = the
+        # outputs v6, v7 (PURIFY) and v9 (NOR) of v5's gates, so F runs at
+        # 6 of the 12 blocks and JF at the 5 live ones
+        inst = scaled(build_constant_gadget().instance, n=4)
+        x, y = pair_with_block_targets(inst, np.random.default_rng(67), {"v5": 3 * inst.m + 0.5})
+        sig = signals(inst, x, y)
+        assert [inst.node_order[w] for w in np.flatnonzero(sig)] == ["v4", "v7", "v8", "v9", "v12"]
+        gx, gy = eval_grad_f(inst, x, y)
+        assert inst.ledger.snapshot() == {"grad_f_evals": 1, "F_evals": 6 * inst.n, "JF_evals": 5 * inst.n}
+        naive_x, naive_y = naive_grad(inst, x, y)
+        assert np.allclose(gx, naive_x, atol=1e-10) and np.allclose(gy, naive_y, atol=1e-10)
 
     def test_locality_of_partials(self):
         # partial wrt a block-(q, i) coordinate depends only on block q,

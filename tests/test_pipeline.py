@@ -10,7 +10,8 @@ import pytest
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF, find_fixed_point
 from minmaxlab.circuit import build_constant_gadget, validate_instance
 from minmaxlab.gda import build_gda_instance, derive_parameters, eval_f, eval_grad_f
-from minmaxlab.harness import GdaObjective, run_pgda
+from minmaxlab.config import DEFAULTS
+from minmaxlab.harness import GdaObjective, fd_check, run_pgda
 from minmaxlab.sperner import (
     _label_grid,
     brouwer_to_labeling,
@@ -124,6 +125,22 @@ class TestPinnedQueryCounts:
         run = run_pgda(GdaObjective(inst), 50, seed=0)
         assert run.iterations == 50
         assert inst.ledger.snapshot() == expected
+
+    def test_fd_check_on_oracle_purify_at_n16(self):
+        # the audit `minmaxlab grad-check` runs on a descriptor, which
+        # evaluates F at the replicas of live (and, in the gradient, fed)
+        # blocks only; any change in what the audit evaluates shows here
+        params = derive_parameters(3, mode="scaled", delta=0.05, n=16, eps=1e-4)
+        inst = build_gda_instance(oracle_purify(), params)
+        d, h = inst.dim, DEFAULTS.grad_fd_step
+        rng = np.random.default_rng(0)
+        points = [h + (1 - 2 * h) * rng.random(2 * d) for _ in range(2)]
+        report = fd_check(lambda v: eval_f(inst, v[:d], v[d:]),
+                          lambda v: np.concatenate(eval_grad_f(inst, v[:d], v[d:])), points, h)
+        assert report.checked == 2 and report.max_rel_err <= DEFAULTS.grad_fd_rel_tol
+        assert inst.ledger.snapshot() == {
+            "f_evals": 1152, "grad_f_evals": 2, "F_evals": 18464, "JF_evals": 32, "L": 6935,
+        }
 
     @pytest.mark.parametrize(
         "circuit, method, expected",

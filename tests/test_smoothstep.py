@@ -207,6 +207,39 @@ class TestKneeDerivativesAgainstMpmath:
                 assert abs(got - exact) <= 1e-12 * abs(exact) + 1e-300, (a, order, got, exact)
 
 
+class TestUnderflow:
+    """Inputs where a * a, b * b or the normaliser's square or cube
+    underflows to 0 get the derivative's limit, not a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-100, 1e-80])
+    def test_tiny_distance_from_lower_knee(self, x):
+        # eta(x) underflows to 0 (and x * x with it from 1e-200 down; from
+        # 1e-80 x**4 is subnormal, so 1/x**4 was inf and A * inf NaN)
+        spec = StepSpec(0.0, 1.0)
+        assert step_d1(spec, x) == 0.0
+        assert step_d2(spec, x) == 0.0
+
+    def test_step_narrower_than_two_eta_cutoffs(self):
+        # width 1/745.03 + 1/745.05 < 2/745: inside it one eta is always
+        # 0, the other at most a subnormal, so s * s underflows; both
+        # derivatives take their limit 0 there, as step_eval takes its ends
+        spec = StepSpec(0.25, 0.25 + 1 / 745.03 + 1 / 745.05)
+        for x in np.linspace(spec.c1, spec.c2, 9999)[1:-1]:
+            assert step_d1(spec, float(x)) == 0.0
+            assert step_d2(spec, float(x)) == 0.0
+            assert 0.0 <= step_eval(spec, float(x)) <= 1.0
+
+    @pytest.mark.parametrize("x, order", [(0.0024, 1), (0.0025, 1), (0.0026, 1),
+                                          (0.0022, 2), (0.0024, 2), (0.0026, 2), (0.0028, 2)])
+    def test_normaliser_underflow_divides_through(self, x, order):
+        # width 0.005: both etas are normal floats near the middle, but
+        # s * s (order 1) or s**3 (order 2) underflows to 0
+        spec = StepSpec(0.0, 0.005)
+        got = (step_d1, step_d2)[order - 1](spec, x)
+        exact = _mp_step_derivative(spec, x, order)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
 class TestNamedSteps:
     def test_g_at_zero(self):
         assert G(0.0) == 1.0
