@@ -12,28 +12,26 @@ Only ORACLE coordinates touch the oracle, and each touches it at most
 once per evaluation, so a full F or Jacobian evaluation costs at most
 |V| oracle queries.  Entrywise |dF_i/dz_j| <= e^12.
 
-Gate semantics live in one place: _TEMPLATES below holds one value and
-one slope expression per gate kind.  build_brouwer fills them in, row by
-row, into straight-line Python source and compiles it once into two
-kernels of a frozen BrouwerMap, F and its nonzero slopes, plus one
-closure per row; F, its Jacobian, the feedback cut and the min-max
-signals of gda.py (F with each PURIFY gate's outputs swapped, read
-through BrouwerMap.sibling) all run these kernels.  The templates are
-plateau-first: a NOR input sum at or beyond a knee of g (1/3, 2/3), or a
-PURIFY input at or beyond a knee of ell (5/12, 7/12), gets the step's
-constant value and zero slope (signed as the step gives it) from
-NamedStep.plateau; only inputs inside the transition band call
-step_eval or step_d1 on the spec of G or ELL, through the affine output
-NamedStep.value and NamedStep.d1 apply, so smoothstep stays the one
-formula.
-
-The generated source is safe to compile: it is made of the fixed
-templates, integer coordinates and float reprs of the plateau constants,
-the output offsets and signs of G and ELL, and the PURIFY offsets, and
-never holds a node name or anything else read from a circuit file.  It
-runs with this module's globals, so step_eval, step_d1, interp_eval and
-interp_grad are looked up here at each call, and a wrapper put on any of
-them after build_brouwer sees every call.
+Gate semantics live in one place, the gate table _GATES: per kind, the
+separator that joins a row's input coordinates (then a PURIFY output's
+offset) into its argument, its curve, and one value and one slope
+template.  NOR (on G) and PURIFY (on ELL) fill in one step row,
+_step_row, from their curve; ORACLE keeps its interpolation row.  A step
+row is plateau-first: an argument at or beyond a knee gets the curve's
+plateau value and flat slope (NamedStep.plateau, signed zeros included);
+only one inside the band calls step_eval or step_d1 on the curve's spec,
+through the affine output NamedStep.value and d1 apply, so smoothstep
+stays the one formula.  build_brouwer, the one emitter, writes the rows
+as straight-line Python and compiles it once into two kernels of a
+frozen BrouwerMap, F and its nonzero slopes, plus one closure per row;
+F, its Jacobian, the feedback cut and gda.py's min-max signals (F with
+each PURIFY gate's outputs swapped, read through BrouwerMap.sibling) all
+run them.  The source holds only the templates, integer coordinates and
+float reprs of the curves' constants and the PURIFY offsets, never a
+node name or anything else read from a circuit file.  It runs with this
+module's globals, so step_eval, step_d1, interp_eval and interp_grad are
+looked up here at each call, and a wrapper put on any of them after
+build_brouwer sees every call.
 
 eval_F and eval_JF take one point, and each call charges exactly one
 F_evals / JF_evals, so calls and ledger counts agree (the benchmark's
@@ -92,31 +90,30 @@ from .circuit import (
 )
 from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
-from .smoothstep import ELL, G, step_d1, step_eval
+from .smoothstep import ELL, G, NamedStep, step_d1, step_eval
 
 _FLOAT64 = np.dtype(np.float64)
 Kernel = Callable[[Sequence[float]], List[float]]
 
 
-# (value, slope) template per gate kind.  {a} is the gate's argument
-# (NOR: z[u] + z[v]; PURIFY: z[u] + offset; ORACLE: the input
-# coordinates) and L the oracle; a NOR slope is one number, given once
-# per input.
-_TEMPLATES = {
-    NOR: ("{g_lo} if (x := {a}) <= {g1} else {g_hi} if x >= {g2} else {g_off} + {g_sign} * step_eval(g_spec, x)",
-          "(s := {g_flat} if (x := {a}) <= {g1} or x >= {g2} else {g_sign} * step_d1(g_spec, x)), s"),
-    PURIFY: ("{e_lo} if (x := {a}) <= {e1} else {e_hi} if x >= {e2} else {e_off} + {e_sign} * step_eval(ell_spec, x)",
-             "{e_flat} if (x := {a}) <= {e1} or x >= {e2} else {e_sign} * step_d1(ell_spec, x)"),
-    ORACLE: ("interp_eval([{a}], L)",
-             "*interp_grad([{a}], L).tolist()"),
+def _step_row(curve: NamedStep, arity: int) -> Tuple[str, NamedStep, str, str]:
+    """The gate table's entry for a step row on `curve` whose argument sums
+    `arity` inputs; its slope is one number, given once per input."""
+    c1, c2, lo, hi, flat = map(repr, curve.plateau())
+    off, sign, spec = repr(curve.out_offset), repr(curve.out_sign), f"{curve.name}_spec"
+    value = f"{lo} if (x := {{a}}) <= {c1} else {hi} if x >= {c2} else {off} + {sign} * step_eval({spec}, x)"
+    slope = f"{flat} if (x := {{a}}) <= {c1} or x >= {c2} else {sign} * step_d1({spec}, x)"
+    return " + ", curve, value, slope if arity == 1 else f"(s := {slope})" + ", s" * (arity - 1)
+
+
+# per kind: (join, curve or None, value template, slope template); {a} is
+# the row's argument and L the oracle
+_GATES = {
+    NOR: _step_row(G, 2),
+    PURIFY: _step_row(ELL, 1),
+    ORACLE: (", ", None, "interp_eval([{a}], L)", "*interp_grad([{a}], L).tolist()"),
 }
-# the knees, plateau values and affine output of g and ell; a band value
-# is NamedStep.value's out_offset + out_sign * step_eval(spec, x), and a
-# band slope NamedStep.d1's out_sign * step_d1(spec, x)
-_PLATEAUS = dict(zip(
-    ("g1", "g2", "g_lo", "g_hi", "g_flat", "g_off", "g_sign", "e1", "e2", "e_lo", "e_hi", "e_flat", "e_off", "e_sign"),
-    map(repr, G.plateau() + (G.out_offset, G.out_sign) + ELL.plateau() + (ELL.out_offset, ELL.out_sign)),
-))
+_CURVES = tuple(curve for _, curve, _, _ in _GATES.values() if curve)
 
 
 @dataclass(frozen=True)
@@ -179,33 +176,31 @@ def build_brouwer(inst: CircuitInstance) -> BrouwerMap:
     row_start = [0, *accumulate(len(ins) for ins in inputs)]
     fan_in = tuple((u, w, row_start[sibling[w]] + j) for u, w, j in edges)
 
-    def row(w: int, side: int) -> str:
-        kind, ins = kinds[w], inputs[w]
-        if kind == NOR:
-            arg = f"z[{ins[0]}] + z[{ins[1]}]"
-        elif kind == PURIFY:
-            arg = f"z[{ins[0]}] + {offsets[w]!r}"
-        else:
-            arg = ", ".join(f"z[{u}]" for u in ins)
-        return _TEMPLATES[kind][side].format(a=arg, **_PLATEAUS)
+    values, slopes = [], []
+    for w in range(d):
+        join, _, value, slope = _GATES[kinds[w]]
+        terms = [f"z[{u}]" for u in inputs[w]]
+        arg = join.join(terms + [repr(offsets[w])] if offsets[w] else terms)
+        values.append(value.format(a=arg))
+        slopes.append(slope.format(a=arg))
 
-    def kernel(name: str, side: int) -> str:
-        items = "".join(f"\n            {row(w, side)}," for w in range(d))
+    def kernel(name: str, rows: List[str]) -> str:
+        items = "".join(f"\n            {row}," for row in rows)
         return f"    def {name}(z):\n        return [{items}\n        ]\n"
 
     # only templates, int coordinates and float reprs: no node name
     source = (
-        "def kernels(L, g_spec, ell_spec):\n"
-        + kernel("map_values", 0)
-        + kernel("map_slopes", 1)
+        f"def kernels(L, {', '.join(f'{curve.name}_spec' for curve in _CURVES)}):\n"
+        + kernel("map_values", values)
+        + kernel("map_slopes", slopes)
         + "    return map_values, map_slopes, ("
-        + "".join(f"\n        lambda z: {row(w, 0)}," for w in range(d))
+        + "".join(f"\n        lambda z: {row}," for row in values)
         + "\n    )\n"
     )
     namespace: Dict[str, Callable] = {}
     exec(compile(source, "<brouwer kernels>", "exec"), globals(), namespace)
     return BrouwerMap(inst, d, tuple(inst.nodes), inst.ledger, positions, tuple(inputs), tuple(sibling), fan_in,
-                      jac_index, *namespace["kernels"](inst.oracle, G.spec, ELL.spec), source)
+                      jac_index, *namespace["kernels"](inst.oracle, *(curve.spec for curve in _CURVES)), source)
 
 
 def _check_domain(bmap: BrouwerMap, z: np.ndarray) -> List[float]:

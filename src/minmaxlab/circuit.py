@@ -266,10 +266,9 @@ def circuit_to_json(inst: CircuitInstance) -> str:
         raise ValueError("the instance has an oracle but no oracle_spec to write")
     gates_json = []
     for gate in _canonical_gates(inst.gates):
-        if gate.kind == PURIFY:
-            gates_json.append({"type": gate.kind, "in": list(gate.inputs), "out": list(gate.outputs)})
-        else:
-            gates_json.append({"type": gate.kind, "in": list(gate.inputs), "out": gate.outputs[0]})
+        # a lone output as its name, a PURIFY's (and a malformed gate's) as a list
+        out = gate.outputs[0] if gate.kind != PURIFY and len(gate.outputs) == 1 else list(gate.outputs)
+        gates_json.append({"type": gate.kind, "in": list(gate.inputs), "out": out})
     payload = {
         "nodes": list(inst.nodes),
         "gates": gates_json,
@@ -313,21 +312,26 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_number(value, what: str) -> Real:
+    """value if it is a JSON number; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[BoolOracle]:
     if spec is None:
         return None
     kind = _json_object(spec, "'oracle'").get("kind")
     if kind == "truth_table":
         table = _json_list(spec["data"], "a truth-table oracle's 'data'")
-        return BoolOracle.from_truth_table(table, ledger=ledger)
+        return BoolOracle.from_truth_table([_json_number(v, "a truth-table entry") for v in table], ledger=ledger)
     if kind == "sperner":
         data = _json_object(spec["data"], "a sperner oracle's 'data'")
         test_map = get_test_map(data["map"])
         d = whole_number(data["d"], "a sperner oracle's 'd'", 1)
         M = whole_number(data["M"], "a sperner oracle's 'M'", 1)
-        eps = data["eps"]
-        if not isinstance(eps, Real):
-            raise ValueError(f"a sperner oracle's 'eps' must be a number, got {eps!r}")
+        eps = _json_number(data["eps"], "a sperner oracle's 'eps'")
         if d != test_map.d:
             raise ValueError(f"stored d={d} but map {test_map.name!r} has d={test_map.d}")
         labeling, derived_m = make_brouwer_labeling(test_map.fn, d, eps)

@@ -70,6 +70,7 @@ from .circuit import (
     CircuitInstance,
     Gate,
     _json_loads,
+    _json_number,
     _json_object,
     _naming,
     check_assignment,
@@ -434,8 +435,9 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
 def gda_from_descriptor(desc, base: Path) -> GdaInstance:
     """Instance from a parsed descriptor {"circuit": <path relative to ``base``
     or inline circuit object>, "mode": "scaled" (the default) or "paper",
-    "delta": .., "n": .., "eps": .., "rho": ..}.  An error in reading or
-    parsing a circuit file starts with that file's path."""
+    "delta": .., "n": .., "eps": .., "rho": ..}; a given delta, eps or rho
+    must be a JSON number, and true or false is not one.  An error in
+    reading or parsing a circuit file starts with that file's path."""
     desc = _json_object(desc, "a min-max descriptor")
     circ_ref = desc["circuit"]
     if isinstance(circ_ref, str):
@@ -443,12 +445,7 @@ def gda_from_descriptor(desc, base: Path) -> GdaInstance:
             circuit = circuit_from_payload(_json_loads((base / circ_ref).read_text()))
     else:
         circuit = circuit_from_payload(circ_ref)
-    params = derive_parameters(
-        m=len(circuit.nodes),
-        rho=desc.get("rho", DEFAULTS.default_rho),
-        mode=desc.get("mode", "scaled"),
-        delta=desc.get("delta"),
-        n=desc.get("n"),
-        eps=desc.get("eps"),
-    )
+    numbers = {key: _json_number(value, f"a descriptor's {key!r}")
+               for key, value in desc.items() if key in ("delta", "eps", "rho")}
+    params = derive_parameters(m=len(circuit.nodes), mode=desc.get("mode", "scaled"), n=desc.get("n"), **numbers)
     return build_gda_instance(circuit, params)

@@ -9,6 +9,9 @@ from minmaxlab.circuit import (
     BOT,
     Assignment,
     CircuitInstance,
+    NOR,
+    ORACLE,
+    PURIFY,
     Gate,
     build_constant_gadget,
     build_oracle_from_labeling,
@@ -499,6 +502,27 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             circuit_to_json(inst)
 
+    @pytest.mark.parametrize("gate", [
+        Gate(NOR, ("a", "b"), ("c", "a")),
+        Gate(NOR, ("a", "b"), ()),
+        Gate(ORACLE, ("a",), ("b", "c")),
+        Gate(PURIFY, ("a",), ("b",)),
+        Gate(PURIFY, ("a",), ()),
+    ], ids=["nor-two-outputs", "nor-no-output", "oracle-two-outputs", "purify-one-output", "purify-no-output"])
+    def test_malformed_gate_round_trips(self, gate):
+        # every output is written, so the file reads back as the same
+        # circuit with the same violation report
+        inst = CircuitInstance(nodes=("a", "b", "c"), gates=(gate,))
+        back = circuit_from_json(circuit_to_json(inst))
+        assert back.gates == (gate,)
+        assert validate_instance(back) == validate_instance(inst) != []
+
+    def test_booleans_are_bits_in_the_api_but_not_numbers_in_a_file(self):
+        assert BoolOracle.from_truth_table([False, True]).query((True,)) == 1
+        payload = {"nodes": ["a"], "gates": [], "oracle": {"kind": "truth_table", "data": [0, True]}}
+        with pytest.raises(ValueError, match="a truth-table entry must be a number, got True"):
+            circuit_from_json(json.dumps(payload))
+
     def test_canonical_bytes_stable(self):
         # same instance built with shuffled gate order serializes identically
         a = CircuitInstance(
@@ -595,6 +619,7 @@ class TestJsonFormat:
             ({"M": "16"}, "'M' must be a whole number"),
             ({"eps": "0.2"}, "'eps' must be a number"),
             ({"eps": [0.2]}, "'eps' must be a number"),
+            ({"eps": True}, "'eps' must be a number, got True"),
             ({"d": True}, "stored d=1 but map 'constant' has d=2"),
             ({"d": 3}, "stored d=3 but map 'constant' has d=2"),
             ({"map": ["constant"]}, "unknown test map"),

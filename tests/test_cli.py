@@ -100,6 +100,21 @@ class TestBuildBrouwer:
         assert captured.err == f"error: {circ}: unknown gate kind {kind!r}\n"
 
 
+    @pytest.mark.parametrize("oracle, error", [
+        ({"kind": "truth_table", "data": [False, True]}, "a truth-table entry must be a number, got False"),
+        ({"kind": "sperner", "data": {"map": "constant", "M": 16, "d": 2, "eps": True}},
+         "a sperner oracle's 'eps' must be a number, got True"),
+    ], ids=["truth-table-entry", "sperner-eps"])
+    def test_boolean_number_names_the_file(self, tmp_path, capsys, oracle, error):
+        circ = tmp_path / "bool.json"
+        circ.write_text(json.dumps({"nodes": ["a"], "gates": [{"type": "ORACLE", "in": ["a"], "out": "a"}],
+                                    "oracle": oracle}))
+        assert main(["build-brouwer", str(circ)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {circ}: {error}\n"
+
+
 @pytest.mark.parametrize("command", ["build-brouwer", "build-gda"])
 def test_out_that_is_a_directory_names_it(circ_file, gda_file, tmp_path, capsys, command):
     adir = tmp_path / "adir"
@@ -140,6 +155,16 @@ class TestBuildGda:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("key", ["delta", "eps", "rho"])
+    def test_boolean_parameter_names_the_file(self, gda_file, capsys, key):
+        desc = json.loads(gda_file.read_text())
+        desc[key] = True
+        gda_file.write_text(json.dumps(desc))
+        assert main(["build-gda", str(gda_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gda_file}: a descriptor's {key!r} must be a number, got True\n"
 
 
 class TestVerify:

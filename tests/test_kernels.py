@@ -244,6 +244,58 @@ def test_long_chain_compiles_and_matches():
         assert bits(signal_slopes(bmap, z)) == bits(ref.slopes(z, ref.signal_offsets, ref.gate_order))
 
 
+# The generated source of two small maps, as the emitter writes it: a NOR
+# row, both PURIFY offsets and an ORACLE row, on the value and the slope
+# side.  Any edit of a row template shows here as a diff.
+NOR_LOOP_SOURCE = """\
+def kernels(L, g_spec, ell_spec):
+    def map_values(z):
+        return [
+            1.0 if (x := z[1] + z[2]) <= 0.3333333333333333 else 0.0 if x >= 0.6666666666666666 else 1.0 + -1.0 * step_eval(g_spec, x),
+            0.0 if (x := z[0] + 0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+            0.0 if (x := z[0] + -0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+        ]
+    def map_slopes(z):
+        return [
+            (s := -0.0 if (x := z[1] + z[2]) <= 0.3333333333333333 or x >= 0.6666666666666666 else -1.0 * step_d1(g_spec, x)), s,
+            0.0 if (x := z[0] + 0.25) <= 0.4166666666666667 or x >= 0.5833333333333334 else 1.0 * step_d1(ell_spec, x),
+            0.0 if (x := z[0] + -0.25) <= 0.4166666666666667 or x >= 0.5833333333333334 else 1.0 * step_d1(ell_spec, x),
+        ]
+    return map_values, map_slopes, (
+        lambda z: 1.0 if (x := z[1] + z[2]) <= 0.3333333333333333 else 0.0 if x >= 0.6666666666666666 else 1.0 + -1.0 * step_eval(g_spec, x),
+        lambda z: 0.0 if (x := z[0] + 0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+        lambda z: 0.0 if (x := z[0] + -0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+    )
+"""
+
+ORACLE_PURIFY_SOURCE = """\
+def kernels(L, g_spec, ell_spec):
+    def map_values(z):
+        return [
+            0.0 if (x := z[1] + 0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+            interp_eval([z[0], z[2]], L),
+            0.0 if (x := z[1] + -0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+        ]
+    def map_slopes(z):
+        return [
+            0.0 if (x := z[1] + 0.25) <= 0.4166666666666667 or x >= 0.5833333333333334 else 1.0 * step_d1(ell_spec, x),
+            *interp_grad([z[0], z[2]], L).tolist(),
+            0.0 if (x := z[1] + -0.25) <= 0.4166666666666667 or x >= 0.5833333333333334 else 1.0 * step_d1(ell_spec, x),
+        ]
+    return map_values, map_slopes, (
+        lambda z: 0.0 if (x := z[1] + 0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+        lambda z: interp_eval([z[0], z[2]], L),
+        lambda z: 0.0 if (x := z[1] + -0.25) <= 0.4166666666666667 else 1.0 if x >= 0.5833333333333334 else 0.0 + 1.0 * step_eval(ell_spec, x),
+    )
+"""
+
+
+@pytest.mark.parametrize("make, source", [(nor_loop, NOR_LOOP_SOURCE), (oracle_purify, ORACLE_PURIFY_SOURCE)],
+                         ids=["nor_loop", "oracle_purify"])
+def test_emitted_source_is_pinned(make, source):
+    assert build_brouwer(make()).source == source
+
+
 class TestNodeNamesNeverBecomeCode:
     HOSTILE = ("a'\"\n", "__import__('os').system('false')", "}{\\", "z[0]")
 
