@@ -15,10 +15,16 @@ bit-exactly whenever x is within sup-norm distance 1/6 of vertex y.
 
 Entry-wise bounds: |grad h| <= e^12 / 2 and |D^2 h| <= 6 e^24.
 
-Each evaluation walks x once to check it (arity, every coordinate in
-[0,1]) and find the active vertex together.  Profile factors whose
-argument lies on a plateau of alpha (at or below 1/6, at or above 1/3)
-are alpha's own plateau values, taken without evaluating the step.
+Each evaluation walks x once: it checks the arity and that every
+coordinate lies in [0,1], finds the active vertex, and collects the band,
+the coordinates whose profile argument t lies above alpha's 1-plateau
+(t > 1/6).  Off the band alpha is exactly 1.0 with slope -0.0, so the
+value, the gradient and a Hessian entry work on the band alone: products
+skip the factors of 1.0, a gradient entry off the band is (1 - 2 y) * -0.0,
+and a Hessian entry with j or k off the band is 0.  Band arguments at or
+above 1/3 take alpha's 0-plateau values without evaluating the step.
+box_profile stays the per-vertex product over every coordinate, for
+dense_sum_eval.
 BoolOracle.query accepts bits given as ints, numpy ints, bools or
 integral floats, and raises before charging its ledger on anything else.
 """
@@ -96,21 +102,40 @@ class BoolOracle:
         return cls(arity=arity, fn=fn, ledger=ledger or QueryLedger())
 
 
-def _checked_vertex(x: Sequence[float], arity: int) -> Optional[Bits]:
-    """active_vertex(x), after checking that x has `arity` coordinates in
-    [0,1] (NaN fails).  One walk: a coordinate strictly between 1/3 and 2/3
-    adds no bit, and every coordinate is checked either way."""
+_A1, _A2, _A_LO, _A_HI, _A_FLAT = ALPHA.plateau()
+_OFF_BAND = (1.0 * _A_FLAT, -1.0 * _A_FLAT)  # a gradient entry off the band, (1 - 2 y) * alpha', by bit y
+
+
+def _walk(x: Sequence[float], arity: int) -> Tuple[Optional[Bits], List[int], List[float]]:
+    """One pass over x: check that it has `arity` coordinates in [0,1] (NaN
+    fails), find the active vertex, and collect the band: the coordinates i
+    whose profile argument t_i = y_i + (1 - 2 y_i) x_i lies above alpha's
+    1-plateau (t_i > 1/6), as ascending indices and their arguments.  Off the
+    band alpha is 1.0 with slope -0.0, so products and gradient entries there
+    need no step.  A coordinate strictly between 1/3 and 2/3 adds no bit
+    (the vertex is then None), and every coordinate is checked either way."""
     if len(x) != arity:
         raise ValueError(f"point has {len(x)} coordinates, oracle arity is {arity}")
-    vertex = []
+    bits: List[int] = []
+    band: List[int] = []
+    args: List[float] = []
     for xi in x:
+        # len(bits) is xi's index while every coordinate before it added a bit;
+        # once one has not, the vertex is None and the band is never read
         if 0.0 <= xi <= 1.0 / 3.0:
-            vertex.append(0)
+            if xi > _A1:
+                band.append(len(bits))
+                args.append(xi)
+            bits.append(0)
         elif 2.0 / 3.0 <= xi <= 1.0:
-            vertex.append(1)
+            t = 1.0 - xi
+            if t > _A1:
+                band.append(len(bits))
+                args.append(t)
+            bits.append(1)
         elif not 1.0 / 3.0 < xi < 2.0 / 3.0:
             raise ValueError(f"coordinates must lie in [0,1], got {xi}")
-    return tuple(vertex) if len(vertex) == arity else None
+    return (tuple(bits) if len(bits) == arity else None), band, args
 
 
 def active_vertex(x: Sequence[float]) -> Optional[Bits]:
@@ -120,17 +145,14 @@ def active_vertex(x: Sequence[float]) -> Optional[Bits]:
     coordinate falls strictly inside (1/3, 2/3).  Raises ValueError on a
     coordinate outside [0,1] or NaN.  Makes no oracle queries.
     """
-    return _checked_vertex(x, len(x))
-
-
-_A1, _A2, _A_LO, _A_HI, _A_FLAT = ALPHA.plateau()
+    return _walk(x, len(x))[0]
 
 
 def box_profile(x: Sequence[float], vertex: Bits) -> float:
     """Phi_vertex(x): 1 inside the 1/6-box, 0 outside the 1/3-box."""
     prod_ = 1.0
     for xi, yi in zip(x, vertex):
-        t = yi + (1 - 2 * yi) * xi
+        t = 1.0 - xi if yi else xi  # y + (1 - 2 y) x for a bit y
         if t <= _A1:
             continue  # alpha(t) == _A_LO == 1.0 leaves the product as it is
         if t >= _A2:
@@ -142,35 +164,29 @@ def box_profile(x: Sequence[float], vertex: Bits) -> float:
     return prod_
 
 
+def _alpha(t: float) -> float:
+    """alpha(t) for a band argument, its 0-plateau without a call."""
+    return _A_HI if t >= _A2 else ALPHA(t)
+
+
+def _alpha_d1(t: float) -> float:
+    """alpha'(t) for a band argument, its 0-plateau without a call."""
+    return _A_FLAT if t >= _A2 else ALPHA.d1(t)
+
+
 def interp_eval(x: Sequence[float], oracle: BoolOracle) -> float:
     """h(x) in [0,1]; at most one oracle query, none when no vertex is active
     or the active vertex's profile vanishes (the value is 1/2 either way)."""
-    vertex = _checked_vertex(x, oracle.arity)
+    vertex, _, args = _walk(x, oracle.arity)
     if vertex is None:
         return 0.5
-    prof = box_profile(x, vertex)
+    prof = 1.0
+    for t in args:  # box_profile's product without its factors of 1.0
+        prof *= _alpha(t)
     if prof == 0.0:
         return 0.5
     q = oracle.query(vertex)
     return 0.5 + prof * (q - 0.5)
-
-
-def _factors(x: Sequence[float], vertex: Bits) -> Tuple[List[float], List[float]]:
-    """alpha and alpha' at each profile argument y_i + (1 - 2 y_i) x_i;
-    arguments on a plateau take alpha's plateau values without a call."""
-    factors, d1s = [], []
-    for xi, yi in zip(x, vertex):
-        t = yi + (1 - 2 * yi) * xi
-        if t <= _A1:
-            factors.append(_A_LO)
-            d1s.append(_A_FLAT)
-        elif t >= _A2:
-            factors.append(_A_HI)
-            d1s.append(_A_FLAT)
-        else:
-            factors.append(ALPHA(t))
-            d1s.append(ALPHA.d1(t))
-    return factors, d1s
 
 
 def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
@@ -178,22 +194,26 @@ def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
 
     Entry j is (q(y*) - 1/2) * sign_j * alpha'(arg_j) * prod_{i != j} alpha(arg_i)
     with sign_j = 1 - 2 y*_j.  At most one oracle query, none when the whole
-    profile gradient vanishes (e.g. strictly inside the 1/6-box).
+    profile gradient vanishes (e.g. strictly inside the 1/6-box).  Off the band
+    the entry is sign_j * -0.0; the products run over the band alone, since
+    every factor off it is 1.0.
     """
     n = oracle.arity
-    vertex = _checked_vertex(x, n)
+    vertex, band, args = _walk(x, n)
     if vertex is None:
         return np.zeros(n)
-    factors, d1s = _factors(x, vertex)
-    prefix = [1.0]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
-    suffix = [1.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    grad = [(1.0 - 2.0 * yj) * dj * prefix[j] * suffix[j + 1]
-            for j, (yj, dj) in enumerate(zip(vertex, d1s))]
-    if not any(grad):
+    grad = [_OFF_BAND[y] for y in vertex]
+    factors = [_alpha(t) for t in args]
+    suffix = [1.0]
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f)
+    prefix, nonzero = 1.0, False
+    for r, (j, t) in enumerate(zip(band, args)):
+        g = (1.0 - 2.0 * vertex[j]) * _alpha_d1(t) * prefix * suffix[-2 - r]
+        grad[j] = g
+        nonzero = nonzero or g != 0.0
+        prefix *= factors[r]
+    if not nonzero:
         return np.array(grad)
     q = oracle.query(vertex)
     out = np.array(grad)
@@ -202,20 +222,26 @@ def interp_grad(x: Sequence[float], oracle: BoolOracle) -> np.ndarray:
 
 
 def interp_hess_entry(x: Sequence[float], oracle: BoolOracle, j: int, k: int) -> float:
-    """Second partial d^2 h / dx_j dx_k at x; at most one oracle query."""
+    """Second partial d^2 h / dx_j dx_k at x; at most one oracle query.
+
+    Zero without a query when j or k is off the band, where alpha' is -0.0
+    (and so is alpha'' on the diagonal)."""
     n = oracle.arity
-    vertex = _checked_vertex(x, n)
+    vertex, band, args = _walk(x, n)
     if not (0 <= j < n and 0 <= k < n):
         raise ValueError(f"indices out of range for arity {n}: ({j}, {k})")
-    if vertex is None:
+    if vertex is None or j not in band or k not in band:
         return 0.0
-    factors, d1s = _factors(x, vertex)
-    dphi = 1.0 if j == k else (1.0 - 2.0 * vertex[j]) * d1s[j] * (1.0 - 2.0 * vertex[k]) * d1s[k]
-    for i, f in enumerate(factors):
-        if i != j and i != k:
-            dphi *= f
+    tj, tk = args[band.index(j)], args[band.index(k)]
     if j == k:
-        dphi *= ALPHA.d2(vertex[j] + (1 - 2 * vertex[j]) * x[j])
+        dphi = 1.0
+    else:
+        dphi = (1.0 - 2.0 * vertex[j]) * _alpha_d1(tj) * (1.0 - 2.0 * vertex[k]) * _alpha_d1(tk)
+    for i, t in zip(band, args):
+        if i != j and i != k:
+            dphi *= _alpha(t)
+    if j == k:
+        dphi *= ALPHA.d2(tj)
     if dphi == 0.0:
         return 0.0
     q = oracle.query(vertex)
@@ -229,7 +255,7 @@ def dense_sum_eval(x: Sequence[float], fn: Callable[[Bits], int], arity: int) ->
     equivalence.  Takes the raw (uncounted) function, and is gated to
     small arities since it is exponential.
     """
-    _checked_vertex(x, arity)  # validates x
+    _walk(x, arity)  # validates x
     if arity > DEFAULTS.dense_sum_max_arity:
         raise ValueError(f"dense sum gated to arity <= {DEFAULTS.dense_sum_max_arity}")
     acc = 0.5

@@ -38,7 +38,9 @@ the signal sensitivities of downstream gates:
 
 F is evaluated, one counted eval_F per replica in block order, only at the blocks
 need = live | fed: live = {w : s_w != 0}, fed = the outputs w of fan-in edges (q, w)
-with step'(||x^q - y^q||^2) != 0; any other H_w is a 0.0 stand-in, times s_w = 0 or unread.
+with step'(||x^q - y^q||^2) != 0.  eval_f takes need = live and eval_grad_f live | fed;
+H_w is summed only at those blocks, replica by replica on Python floats from 0.0,
+and any other H_w is +0.0, times s_w = 0 or unread.
 
 A pair (x, y) solves the stationarity problem at tolerance eps when no
 coordinate admits a feasible first-order improvement larger than eps;
@@ -251,20 +253,21 @@ def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _displacements(inst: GdaInstance, bx: np.ndarray, by: np.ndarray, need: List[int]) -> np.ndarray:
     """G(xi) = F(xi) - xi at the replica midpoints xi = (bx + by) / 2 of the blocks
-    in ascending ``need``, one eval_F each, block then replica; 0.0 at the other blocks."""
-    disp = np.zeros(bx.shape)
+    in ascending ``need``, one eval_F each, block then replica: shape (len(need), n, m)."""
     xi = 0.5 * (bx[need] + by[need])
-    disp[need] = np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
-    return disp
+    return np.array([eval_F(inst.bmap, p) for p in xi.reshape(-1, inst.m)]).reshape(xi.shape) - xi
 
 
 def _gadgets(disp: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """H_v = sum_i <G(xi), y_i^v - x_i^v> from the (|V|, n, m) displacements."""
-    dots = np.matmul(disp[..., None, :], (by - bx)[..., :, None])[..., 0, 0]
-    H = np.zeros(len(dots))
-    for col in dots.T:  # replica by replica, the summation order of H_v
-        H += col
-    return H
+    """H_v = sum_i <G(xi), y_i^v - x_i^v> for each block of the displacements and
+    the same blocks of bx, by; summed replica by replica on Python floats from 0.0."""
+    H = []
+    for dots in np.matmul(disp[..., None, :], (by - bx)[..., :, None])[..., 0, 0].tolist():
+        h = 0.0
+        for dot in dots:
+            h += dot
+        H.append(h)
+    return np.array(H)
 
 
 def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
@@ -284,7 +287,9 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     sig = _signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist())
     bx, by = inst.blocks(x), inst.blocks(y)
     live = [w for w, s in enumerate(sig) if s != 0.0]
-    H = _gadgets(_displacements(inst, bx, by, live), bx, by)
+    H = np.zeros(inst.m)  # +0.0 where s_w == 0.0
+    if live:
+        H[live] = _gadgets(_displacements(inst, bx, by, live), bx[live], by[live])
     return float(np.dot(sig, H)) + regularizer(inst, x, y)
 
 
@@ -307,14 +312,16 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     live = np.flatnonzero(sig != 0.0)
     # Delta_q reads H_w and the slopes (L queries) only on edges (q, w) with q in transition
     fed = [(u, w, k) for u, w, k in bmap.fan_in if ephi1[u] != 0.0]
-    disp = _displacements(inst, bx, by, sorted(set(live.tolist()).union(w for _, w, _ in fed)))
+    need = sorted(set(live.tolist()).union(w for _, w, _ in fed))
+    disp = _displacements(inst, bx, by, need)
     sens = np.zeros(m)
     if fed:
-        H, slopes = _gadgets(disp, bx, by), bmap.map_slopes(energies.tolist())
+        H = dict(zip(need, _gadgets(disp, bx[need], by[need]).tolist()))
+        slopes = bmap.map_slopes(energies.tolist())
         # sens[q] sums H_w * ds_w/dE_q over w in Out(q) in gate order; ds_w/dE_q = dF_{sibling[w]}/dz_q = slopes[k]
         for u, w, k in fed:
             sens[u] += H[w] * slopes[k]
-    gvec = disp[live]
+    gvec = disp if len(need) == len(live) else disp[np.searchsorted(need, live)]  # the rows of live
 
     # Delta_q = step' * sens is +-0.0 where step' is 0, as no edge of fed leaves q
     coupling = 2.0 * (inst.weights[None, :, None] + (sens * ephi1)[:, None, None]) * (bx - by)

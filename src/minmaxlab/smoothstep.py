@@ -26,11 +26,14 @@ The sampled sup-norms satisfy |step'| <= exp(2/w) and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 from .config import whole_number
+
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,19 @@ def step_d1(spec: StepSpec, x: float) -> float:
     s = A + B
     if s == 0.0:
         return 0.0
-    # a try costs the band rows nothing, where explicit guards cost them 10%
-    try:
-        ap = A / (a * a)
-        bp = -B / (b * b)
-        return (ap * B - A * bp) / (s * s)
-    except ZeroDivisionError:
-        # a * a, b * b or s * s underflowed to 0: an eta that is 0 takes
-        # step' = A B (1/a^2 + 1/b^2) / s^2 to its limit 0; else divide through by s
-        return (A / s) * (B / s) * (1.0 / (a * a) + 1.0 / (b * b)) if A and B else 0.0
+    ss = s * s
+    if ss >= _NORMAL_MIN:
+        # a try costs the band rows nothing, where explicit guards cost them 10%
+        try:
+            ap = A / (a * a)
+            bp = -B / (b * b)
+            return (ap * B - A * bp) / ss
+        except ZeroDivisionError:
+            pass  # a * a or b * b underflowed to 0, and its eta with it
+    # s * s is subnormal or 0, where ap * B and A * bp lose bits or underflow: an
+    # eta that is 0 takes step' = A B (1/a^2 + 1/b^2) / s^2 to its limit 0; else
+    # divide through by s
+    return (A / s) * (B / s) * (1.0 / (a * a) + 1.0 / (b * b)) if A and B else 0.0
 
 
 def step_d2(spec: StepSpec, x: float) -> float:
@@ -134,8 +141,8 @@ def step_d2(spec: StepSpec, x: float) -> float:
     bp = -B / (b * b) if B else -0.0
     app = A * (1.0 / a**4 - 2.0 / a**3) if A else 0.0
     bpp = B * (1.0 / b**4 - 2.0 / b**3) if B else 0.0
-    if s**3 == 0.0:
-        # s**3 (or s * s) underflowed while s did not: divide every term through by s
+    if s**3 < _NORMAL_MIN:
+        # s**3 (and maybe s * s) is subnormal or 0 while s is not: divide every term through by s
         A, B, ap, bp, app, bpp, s = A / s, B / s, ap / s, bp / s, app / s, bpp / s, 1.0
     t = ap * B - A * bp
     return (app * B - A * bpp) / (s * s) - 2.0 * (ap + bp) * t / (s**3)

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minmaxlab.boolinterp import (
     BoolOracle,
@@ -17,7 +19,13 @@ from minmaxlab import smoothstep
 from minmaxlab.ledger import QueryLedger
 from minmaxlab.smoothstep import ALPHA
 
-from oracles import grad_central, rel_err
+from oracles import (
+    grad_central,
+    reference_interp_eval,
+    reference_interp_grad,
+    reference_interp_hess_entry,
+    rel_err,
+)
 
 
 def xor_oracle(ledger=None):
@@ -224,6 +232,24 @@ class TestInterpGrad:
             sup = max(sup, float(np.max(np.abs(grad))))
         assert sup <= bound
 
+    def test_arity_12_steps_only_on_the_band(self, monkeypatch):
+        calls = spy_steps(monkeypatch)
+        ledger = QueryLedger()
+        h = BoolOracle.from_truth_table([0] * 4096, ledger=ledger)
+        # coordinates 3 and 7 on the band (arguments 0.25 and 1 - 0.8),
+        # the other ten inside their 1/6 box or on its face
+        x = [0.05, 0.95, 1.0 / 6.0, 0.25, 0.0, 1.0, 5.0 / 6.0, 0.8, 0.1, 0.9, 0.0, 1.0]
+        t7 = 1.0 - 0.8
+        grad = interp_grad(x, h)
+        assert calls == [("step_eval", 0.25), ("step_eval", t7), ("step_d1", 0.25), ("step_d1", t7)]
+        assert ledger.count("L") == 1
+        assert grad[3] == -0.5 * ALPHA.d1(0.25) * ALPHA(t7)
+        assert grad[7] == 0.5 * ALPHA.d1(t7) * ALPHA(0.25)
+        # off the band: (q - 1/2) (1 - 2 y) * -0.0, a signed zero
+        expected_signs = [math.copysign(1.0, -0.5 * (1.0 - 2.0 * round(v)) * -0.0) for v in x]
+        for j in set(range(12)) - {3, 7}:
+            assert grad[j] == 0.0 and math.copysign(1.0, grad[j]) == expected_signs[j]
+
     def test_at_most_one_query(self):
         rng = np.random.default_rng(59)
         ledger = QueryLedger()
@@ -232,6 +258,16 @@ class TestInterpGrad:
             before = ledger.count("L")
             interp_grad(rng.random(2).tolist(), h)
             assert ledger.count("L") - before <= 1
+
+
+def spy_steps(monkeypatch):
+    """Record (name, x) for every smooth-step call the named curves make."""
+    calls = []
+    for name in ("step_eval", "step_d1", "step_d2"):
+        original = getattr(smoothstep, name)
+        monkeypatch.setattr(smoothstep, name,
+                            lambda spec, x, f=original, name=name: calls.append((name, x)) or f(spec, x))
+    return calls
 
 
 class TestInterpHess:
@@ -268,7 +304,21 @@ class TestInterpHess:
             assert interp_hess_entry(x, h, 1, 0) == 0.0
         assert calls == []
         interp_hess_entry([0.25, 0.25], h, 0, 1)
-        assert calls == [0.25, 0.25, 0.25, 0.25]
+        assert calls == [0.25, 0.25]  # alpha' at j and k; no alpha is left to take
+
+    def test_diagonal_takes_alpha_off_j_and_alpha2_at_j(self, monkeypatch):
+        calls = spy_steps(monkeypatch)
+        ledger = QueryLedger()
+        h = BoolOracle.from_truth_table([1] * 8, ledger=ledger)
+        # profile arguments 0.25 and 0.2 on the band, 0.05 off it
+        x = [0.25, 0.8, 0.05]
+        t1 = 1.0 - 0.8
+        value = interp_hess_entry(x, h, 0, 0)
+        assert calls == [("step_eval", t1), ("step_d2", 0.25)]
+        assert value == 0.5 * ALPHA(t1) * ALPHA.d2(0.25) and ledger.count("L") == 1
+        calls.clear()
+        assert interp_hess_entry(x, h, 2, 2) == 0.0  # off the band alpha'' is 0
+        assert calls == [] and ledger.count("L") == 1
 
     def test_matches_fd_of_gradient(self):
         rng = np.random.default_rng(61)
@@ -307,3 +357,71 @@ class TestInterpHess:
             before = ledger.count("L")
             interp_hess_entry(rng.random(2).tolist(), h, 0, 1)
             assert ledger.count("L") - before <= 1
+
+
+# the knees of the box profile as coordinates, one ulp either side too
+KNEES = sorted({v for k in (0.0, 1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 6.0, 1.0)
+                for v in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf)) if 0.0 <= v <= 1.0})
+coordinate = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(KNEES),
+    st.floats(1.0 / 6.0, 1.0 / 3.0),  # on the band of vertex 0
+    st.floats(2.0 / 3.0, 5.0 / 6.0),  # on the band of vertex 1
+)
+
+
+class TestAgainstThreeWalkReference:
+    """The one-walk functions against the three-walk form they replaced
+    (tests/oracles.py): the same bits and the same queries."""
+
+    @settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(arity=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bit_identical_with_the_same_queries(self, arity, seed, data):
+        x = data.draw(st.lists(coordinate, min_size=arity, max_size=arity))
+        table = np.random.default_rng(seed).integers(0, 2, 1 << arity).tolist()
+        ledger, ref_ledger = QueryLedger(), QueryLedger()
+        h = BoolOracle.from_truth_table(table, ledger=ledger)
+        ref = BoolOracle.from_truth_table(table, ledger=ref_ledger)
+
+        def same(got, expected):
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert ledger.count("L") == ref_ledger.count("L")
+
+        same(interp_eval(x, h), reference_interp_eval(x, ref))
+        grad, ref_grad = interp_grad(x, h), reference_interp_grad(x, ref)
+        assert grad.tobytes() == ref_grad.tobytes() and ledger.count("L") == ref_ledger.count("L")
+        for j in range(arity):
+            for k in range(arity):
+                same(interp_hess_entry(x, h, j, k), reference_interp_hess_entry(x, ref, j, k))
+
+    @pytest.mark.parametrize("arity", [1, 2, 5, 12])
+    def test_random_points(self, arity):
+        rng = np.random.default_rng(arity)
+        ledger, ref_ledger = QueryLedger(), QueryLedger()
+        table = rng.integers(0, 2, 1 << arity).tolist()
+        h = BoolOracle.from_truth_table(table, ledger=ledger)
+        ref = BoolOracle.from_truth_table(table, ledger=ref_ledger)
+        for p in range(200):
+            # a random vertex's 1/3 box, so the vertex is active and most
+            # coordinates of each point sit on the band or in the 1/6 box
+            vertex = rng.integers(0, 2, arity)
+            x = np.abs(vertex - rng.random(arity) / 3.0).tolist() if p % 2 else rng.random(arity).tolist()
+            assert np.float64(interp_eval(x, h)).tobytes() == np.float64(reference_interp_eval(x, ref)).tobytes()
+            assert interp_grad(x, h).tobytes() == reference_interp_grad(x, ref).tobytes()
+            j, k = (int(i) for i in rng.integers(0, arity, 2))
+            for a, b in ((j, k), (j, j)):
+                got, expected = interp_hess_entry(x, h, a, b), reference_interp_hess_entry(x, ref, a, b)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert ledger.count("L") == ref_ledger.count("L")
+
+    @pytest.mark.parametrize("x, j, k", [([0.5, 1.5], 0, 2), ([0.2], 0, 0), ([0.2, math.nan], 0, 1), ([0.2, 0.9], 0, 2)])
+    def test_same_errors(self, x, j, k):
+        def error(fn, *args):
+            with pytest.raises(ValueError) as info:
+                fn(x, xor_oracle(), *args)
+            return str(info.value)
+
+        assert error(interp_hess_entry, j, k) == error(reference_interp_hess_entry, j, k)
+        if k < 2:  # a bad point, which every entry point rejects
+            assert error(interp_eval) == error(reference_interp_eval)
+            assert error(interp_grad) == error(reference_interp_grad)

@@ -301,6 +301,80 @@ def test_eval_f_matches_per_block_gadgets(name, n, regime, seed):
 
 
 # ---------------------------------------------------------------------------
+# gadget sums: H_v adds its replicas' dots left to right, from 0.0
+# ---------------------------------------------------------------------------
+
+def replica_dots(inst, bx, by, v):
+    """<G(xi), y_i^v - x_i^v> for each replica of block v, one eval_F each."""
+    dots = []
+    for i in range(inst.n):
+        xi = 0.5 * (bx[v, i] + by[v, i])
+        dots.append(float(np.dot(eval_F(inst.bmap, xi) - xi, by[v, i] - bx[v, i])))
+    return dots
+
+
+def left_to_right(dots):
+    total = 0.0
+    for dot in dots:
+        total += dot
+    return total
+
+
+def other_groupings(dots):
+    """The same dots summed in three other orders."""
+    return {"reversed": left_to_right(dots[::-1]), "pairwise": float(np.sum(np.array(dots))), "exact": math.fsum(dots)}
+
+
+def test_eval_f_sums_each_gadget_left_to_right():
+    # seed 99: each of the gadget's 4 live blocks sums to other bits in every
+    # other grouping, and so would f
+    inst = instance("gadget", 16)
+    x, y = pair(inst, "random", np.random.default_rng(99))
+    bx, by = inst.blocks(x), inst.blocks(y)
+    sig, _ = reference_signals(inst, block_energies(inst, x, y))
+    live = [w for w in range(inst.m) if sig[w] != 0.0]
+    H = np.zeros(inst.m)
+    others = {name: np.zeros(inst.m) for name in ("reversed", "pairwise", "exact")}
+    for w in live:
+        dots = replica_dots(inst, bx, by, w)
+        H[w] = left_to_right(dots)
+        for name, total in other_groupings(dots).items():
+            assert total != H[w]
+            others[name][w] = total
+    diff = bx - by
+    reg = float(np.sum(np.einsum("vij,vij->vi", diff, diff) * inst.weights[None, :]))
+    expected = float(np.dot(sig, H)) + reg
+    assert len(live) == 4
+    assert all(float(np.dot(sig, other)) + reg != expected for other in others.values())
+    assert eval_f(inst, x, y) == expected
+
+
+def test_eval_grad_f_sums_each_fed_gadget_left_to_right():
+    # one block v in transition and every other block a small step from x
+    # (energy 0), so the fed blocks' dots are not 0; at seed 13 every other
+    # grouping of their sums gives Delta_v other bits, and replica n/2, whose
+    # weight M_i is 0, carries them into the gradient
+    inst = instance("gadget", 16)
+    rng = np.random.default_rng(13)
+    x, y = pair(inst, "transition", rng)
+    bx, by = inst.blocks(x), inst.blocks(y)
+    v = int(np.flatnonzero(np.einsum("vij,vij->v", bx - by, bx - by))[0])
+    for w in range(inst.m):
+        if w != v:
+            by[w] = np.clip(bx[w] + rng.uniform(-0.2, 0.2, bx[w].shape), 0.0, 1.0)
+    energies, ephi1 = reference_energies(inst, x, y)
+    _, sens = reference_signals(inst, energies)
+    dots = {w: replica_dots(inst, bx, by, w) for w, _ in sens[v]}
+    delta = ephi1[v] * sum(left_to_right(dots[w]) * slope for w, slope in sens[v])
+    for name in ("reversed", "pairwise", "exact"):
+        assert ephi1[v] * sum(other_groupings(dots[w])[name] * slope for w, slope in sens[v]) != delta
+    assert inst.weights[inst.n // 2 - 1] == 0.0
+    gx, gy = eval_grad_f(inst, x, y)
+    rx, ry = reference_grad_f(inst, x, y)
+    assert same_bits(gx, rx) and same_bits(gy, ry)
+
+
+# ---------------------------------------------------------------------------
 # interpolation: plateau shortcuts against the plain product formulas
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +239,32 @@ class TestUnderflow:
         got = (step_d1, step_d2)[order - 1](spec, x)
         exact = _mp_step_derivative(spec, x, order)
         assert abs(got - exact) <= 1e-12 * abs(exact)
+
+    def test_subnormal_normaliser_divides_through(self):
+        # width 0.0055: where both etas are normal floats but s * s (order 1)
+        # or s**3 (order 2) is subnormal, ap * B and A * bp lose bits (step_d1
+        # was off by 2.5e-9 relative at x = 0.0027555) or underflow to 0
+        spec = StepSpec(0.0, 0.0055)
+        checked = {1: 0, 2: 0}
+        for x in np.linspace(spec.c1, spec.c2, 401)[1:-1].tolist() + [0.0027555]:
+            A, B = _eta(x - spec.c1), _eta(spec.c2 - x)
+            if min(A, B) < sys.float_info.min:
+                continue  # an eta is itself subnormal or 0, and has lost bits already
+            s = A + B
+            for order, fn, power in ((1, step_d1, s * s), (2, step_d2, s**3)):
+                if order == 2 and x == 0.5 * spec.c2:
+                    continue  # step'' crosses 0 at the middle, where no relative bound holds
+                if power < sys.float_info.min:
+                    exact = _mp_step_derivative(spec, x, order)
+                    assert abs(fn(spec, x) - exact) <= 1e-12 * abs(exact), (x, order)
+                    checked[order] += 1
+        assert checked[1] >= 10 and checked[2] >= 150
+
+    def test_subnormal_square_keeps_a_tiny_slope(self):
+        # s * s = 2.5e-311 is subnormal, and ap * B = 1.6e-348 underflowed to 0
+        exact = _mp_step_derivative(StepSpec(0.0, 0.005), 0.0022, 1)
+        assert abs(step_d1(StepSpec(0.0, 0.005), 0.0022) - exact) <= 1e-12 * abs(exact)
+        assert 1.6e-37 < exact < 1.7e-37
 
 
 class TestNamedSteps:
