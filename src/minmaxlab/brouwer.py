@@ -72,6 +72,7 @@ a later stage wins over.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -437,12 +438,12 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
             c = cn
         cut_values = np.array([c])
     else:
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         best_c = None
         best_norm = np.inf
         it = 0
         for attempt in range(8):
-            c = np.full(len(cut), 0.5) if attempt == 0 else rng.random(len(cut))
+            c = np.full(len(cut), 0.5) if attempt == 0 else np.array([rng.random() for _ in cut])
             gamma = 0.5
             prev_norm = np.inf
             for _ in range(max_iter):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import warnings
 from functools import partial
@@ -161,7 +162,7 @@ def _cmd_verify(args) -> Tuple[int, dict]:
 
 
 def _check_seed(seed: int) -> None:
-    # numpy's own message for a negative seed does not name the flag
+    # random.Random would take a negative seed as its absolute value
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
 
@@ -174,7 +175,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
     if not 0 <= args.tol < math.inf:  # NaN fails
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     _check_seed(args.seed)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     inst = _load_instance(args.instance)
     if isinstance(inst, gda.GdaInstance):
         dim = 2 * inst.dim
@@ -190,7 +191,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
         dim = bmap.dim
         value_fn, grad_fn = partial(brouwer.eval_F, bmap), partial(brouwer.eval_JF, bmap)
 
-    points = [h + (1 - 2 * h) * rng.random(dim) for _ in range(args.points)]
+    points = [h + (1 - 2 * h) * np.array([rng.random() for _ in range(dim)]) for _ in range(args.points)]
     rep = harness.fd_check(value_fn, grad_fn, points, h)
     ok = bool(rep.max_rel_err <= args.tol)
     payload = {

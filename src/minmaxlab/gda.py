@@ -231,13 +231,13 @@ def _check_pair(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
 # building blocks: energies, signals, gadgets
 # ---------------------------------------------------------------------------
 
-def _sqnorms(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = inst.blocks(x) - inst.blocks(y)
+def _sqnorms(diff: np.ndarray) -> np.ndarray:
+    """||x^v - y^v||^2 per block of the (|V|, n, m) difference x - y."""
     return np.einsum("vij,vij->v", diff, diff)
 
 
 def block_energies(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.array([inst.energy_step(s) for s in _sqnorms(inst, x, y)])
+    return np.array([inst.energy_step(s) for s in _sqnorms(inst.blocks(x) - inst.blocks(y))])
 
 
 def _signals_from_energies(bmap: BrouwerMap, energies: List[float]) -> List[float]:
@@ -270,10 +270,14 @@ def _gadgets(disp: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     return np.array(H)
 
 
-def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
-    diff = inst.blocks(x) - inst.blocks(y)
+def _weighted_sqnorm(inst: GdaInstance, diff: np.ndarray) -> float:
+    """sum_v sum_i M_i ||x_i^v - y_i^v||^2 of the (|V|, n, m) difference x - y."""
     per_replica = np.einsum("vij,vij->vi", diff, diff)
     return float(np.sum(per_replica * inst.weights[None, :]))
+
+
+def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
+    return _weighted_sqnorm(inst, inst.blocks(x) - inst.blocks(y))
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +288,14 @@ def eval_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
     """Objective value; n eval_F per live block (s_w != 0), whose H_w alone is read."""
     x, y = _check_pair(inst, x, y)
     inst.ledger.record("f_evals")
-    sig = _signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist())
     bx, by = inst.blocks(x), inst.blocks(y)
+    diff = bx - by  # shared by the energies and the regularizer
+    sig = _signals_from_energies(inst.bmap, [inst.energy_step(s) for s in _sqnorms(diff).tolist()])
     live = [w for w, s in enumerate(sig) if s != 0.0]
     H = np.zeros(inst.m)  # +0.0 where s_w == 0.0
     if live:
         H[live] = _gadgets(_displacements(inst, bx, by, live), bx[live], by[live])
-    return float(np.dot(sig, H)) + regularizer(inst, x, y)
+    return float(np.dot(sig, H)) + _weighted_sqnorm(inst, diff)
 
 
 def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -304,7 +309,8 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     inst.ledger.record("grad_f_evals")
     bx, by = inst.blocks(x), inst.blocks(y)
     m, bmap = inst.m, inst.bmap
-    sq = _sqnorms(inst, x, y)
+    diff = bx - by
+    sq = _sqnorms(diff)
     energies = np.array([inst.energy_step(s) for s in sq])
     ephi1 = [inst.energy_step.d1(s) for s in sq]
     sig = np.array(_signals_from_energies(bmap, energies.tolist()))
@@ -324,7 +330,7 @@ def eval_grad_f(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Tuple[np.nda
     gvec = disp if len(need) == len(live) else disp[np.searchsorted(need, live)]  # the rows of live
 
     # Delta_q = step' * sens is +-0.0 where step' is 0, as no edge of fed leaves q
-    coupling = 2.0 * (inst.weights[None, :, None] + (sens * ephi1)[:, None, None]) * (bx - by)
+    coupling = 2.0 * (inst.weights[None, :, None] + (sens * ephi1)[:, None, None]) * diff
     gx, gy = coupling.copy(), -coupling
     points = (0.5 * (bx[live] + by[live])).reshape(-1, m)
     jac_g = np.array([eval_JF(bmap, p) for p in points]).reshape(gvec.shape + (m,)) - np.eye(m)

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import random
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -93,13 +94,16 @@ class SolverRun:
 
 
 def _start_point(obj, seed: Optional[int], x0, y0) -> Tuple[np.ndarray, np.ndarray]:
-    # Seeded starts use numpy's Generator with the PCG64 bit stream; the
-    # stream identity is configuration, not contract.
+    # Seeded starts draw x, then y, coordinate by coordinate from the standard
+    # library's random.Random; the stream identity is configuration, not
+    # contract.  The seed is checked first, as random.Random would take -3 as
+    # 3 and accept 1.5.
     if (x0 is None) != (y0 is None):
         raise ValueError("give both x0 and y0, or neither")
     if x0 is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
-        return rng.random(obj.dim_x), rng.random(obj.dim_y)
+        rng = random.Random(0 if seed is None else whole_number(seed, "seed"))
+        x = np.array([rng.random() for _ in range(obj.dim_x)])
+        return x, np.array([rng.random() for _ in range(obj.dim_y)])
     x0, y0 = np.array(x0, dtype=float), np.array(y0, dtype=float)
     for name, point, dim in (("x0", x0, obj.dim_x), ("y0", y0, obj.dim_y)):
         if point.shape != (dim,) or not (point.min() >= 0.0 and point.max() <= 1.0):  # NaN fails

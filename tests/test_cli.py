@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -391,15 +392,16 @@ class TestGradCheck:
     def test_circuit_error_is_the_worst_jacobian_entry(self, tmp_path, capsys, name):
         path = tmp_path / "circuit.json"
         path.write_text(circuit_to_json(CIRCUITS[name]()))
-        assert main(["grad-check", str(path), "--points", "2", "--seed", "5"]) in (0, 1)
+        # at seed 8 every map has a point off its plateaus, so worst > 0.0 below
+        assert main(["grad-check", str(path), "--points", "2", "--seed", "8"]) in (0, 1)
         out = json.loads(capsys.readouterr().out)
         # the same points, every entry of every Jacobian column compared
         bmap = build_brouwer(circuit_from_json(path.read_text()))
         h = DEFAULTS.grad_fd_step
-        rng = np.random.default_rng(5)
+        rng = random.Random(8)
         worst = 0.0
         for _ in range(2):
-            z = h + (1 - 2 * h) * rng.random(bmap.dim)
+            z = h + (1 - 2 * h) * np.array([rng.random() for _ in range(bmap.dim)])
             jac = eval_JF(bmap, z)
             for j in range(bmap.dim):
                 up, down = z.copy(), z.copy()

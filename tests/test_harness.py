@@ -77,6 +77,31 @@ class TestPgda:
             runner(toy, steps=5, lr=0.1, x0=x0, y0=y0)
         assert toy.ledger.total() == 0
 
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan], ids=["negative", "fraction", "nan"])
+    def test_bad_seed_rejected(self, runner, seed):
+        # random.Random would take -1 as 1 and accept 1.5
+        toy = BilinearToy()
+        with pytest.raises(ValueError, match="seed"):
+            runner(toy, steps=5, lr=0.1, seed=seed)
+        assert toy.ledger.total() == 0
+
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    @pytest.mark.parametrize(
+        "seed, as_int", [(np.int64(3), 3), (True, 1), (2**70, 2**70)], ids=["int64", "bool", "huge"]
+    )
+    def test_whole_number_seed_starts_as_its_int(self, runner, seed, as_int):
+        # lr = 0 keeps the start point, so final_point is the seeded draw
+        a = runner(BilinearToy(), steps=1, lr=0.0, seed=seed)
+        b = runner(BilinearToy(), steps=1, lr=0.0, seed=as_int)
+        assert [p.tobytes() for p in a.final_point] == [p.tobytes() for p in b.final_point]
+
+    @pytest.mark.parametrize("runner", [run_pgda, run_extragradient])
+    def test_equal_seeds_give_byte_equal_starts(self, runner):
+        a, b, c = (runner(BilinearToy(), steps=1, lr=0.0, seed=seed).final_point for seed in (11, 11, 12))
+        assert [p.tobytes() for p in a] == [p.tobytes() for p in b]
+        assert [p.tobytes() for p in a] != [p.tobytes() for p in c]
+
     def test_iterates_stay_in_box(self):
         toy = BilinearToy()
         run = run_pgda(toy, steps=500, lr=0.9, x0=np.array([0.99]), y0=np.array([0.01]))

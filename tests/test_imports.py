@@ -1,16 +1,21 @@
-"""No module of the package imports a name it never uses."""
+"""What the package imports: no module imports a name it never uses, and
+the seeded draws leave numpy.random unloaded."""
 
 import ast
 import io
+import json
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
 import pytest
 
 from minmaxlab.brouwer import build_brouwer
-from minmaxlab.circuit import NOR, ORACLE, PURIFY
+from minmaxlab.circuit import NOR, ORACLE, PURIFY, circuit_to_json
 
-from circuits import nor_loop, oracle_purify
+from circuits import nor_loop, oracle_purify, purify_loop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minmaxlab"
 
@@ -47,3 +52,38 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(imported_names(tree)) - used - READ_BY_GENERATED_CODE.get(name, set())
     assert not unused, f"{name} imports {sorted(unused)} without using them"
+
+
+SEEDED_DRAWS = """
+import sys
+from minmaxlab import brouwer, cli
+from minmaxlab.circuit import CircuitInstance, nor, purify
+
+circuit, descriptor, out = sys.argv[1:]
+assert cli.main(["solve", descriptor, "--algo", "pgda", "--steps", "2", "--out", out]) in (0, 1)
+assert cli.main(["grad-check", circuit]) in (0, 1)
+assert cli.main(["grad-check", descriptor]) in (0, 1)
+two_loops = CircuitInstance(
+    nodes=("a", "b", "c", "x", "y", "w"),
+    gates=(purify("a", "b", "c"), nor("b", "c", "a"), purify("x", "y", "w"), nor("y", "w", "x")),
+)
+bmap = brouwer.build_brouwer(two_loops)
+assert len(brouwer.feedback_cut(bmap)[0]) == 2
+brouwer.cycle_cut_solve(bmap)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_seeded_draws_leave_numpy_random_unloaded(tmp_path):
+    # solver starts, grad-check points and cut restarts draw from random.Random:
+    # numpy.random would load its extension modules and OpenSSL into every run
+    circuit, inner, descriptor = tmp_path / "circuit.json", tmp_path / "inner.json", tmp_path / "gda.json"
+    circuit.write_text(circuit_to_json(purify_loop()))
+    inner.write_text(circuit_to_json(nor_loop()))
+    descriptor.write_text(json.dumps({"circuit": inner.name, "mode": "scaled", "delta": 0.05, "n": 2, "eps": 1e-4}))
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = [sys.executable, "-c", SEEDED_DRAWS, str(circuit), str(descriptor), str(tmp_path / "runs")]
+    out = subprocess.run(args, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
