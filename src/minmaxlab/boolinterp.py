@@ -228,6 +228,8 @@ def interp_hess_entry(x: Sequence[float], oracle: BoolOracle, j: int, k: int) ->
     (and so is alpha'' on the diagonal)."""
     n = oracle.arity
     vertex, band, args = _walk(x, n)
+    if type(j) is not int or type(k) is not int:  # plain ints, the hot case, skip the call
+        j, k = whole_number(j, "index j"), whole_number(k, "index k")
     if not (0 <= j < n and 0 <= k < n):
         raise ValueError(f"indices out of range for arity {n}: ({j}, {k})")
     if vertex is None or j not in band or k not in band:

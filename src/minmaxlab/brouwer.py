@@ -270,20 +270,18 @@ def damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None, steps: i
     steps, whichever comes first."""
     count = whole_number(steps, "steps")
     gamma, target, patience = 0.25, DEFAULTS.brouwer_eps, 500
-    z = np.full(bmap.dim, 0.5) if z0 is None else np.asarray(z0, dtype=float).copy()
-    best_z = z.copy()
-    fz = eval_F(bmap, z)
-    best_res = float(np.max(np.abs(fz - z)))
-    it = best_it = 0
-    for it in range(1, count + 1):
-        z = (1.0 - gamma) * z + gamma * fz
+    z = np.full(bmap.dim, 0.5) if z0 is None else np.array(z0, dtype=float)
+    best_res = np.inf
+    for it in range(count + 1):
         fz = eval_F(bmap, z)
         res = float(np.max(np.abs(fz - z)))
         if res < best_res:
             best_res, best_it = res, it
-            best_z = z.copy()
-        if best_res <= target or it - best_it >= patience:
+            best_z = z
+        # the start is always followed by at least one step
+        if it and (best_res <= target or it - best_it >= patience):
             break
+        z = (1.0 - gamma) * z + gamma * fz
     return FixedPointResult(
         z=best_z,
         residual=best_res,
@@ -381,13 +379,13 @@ def feedback_cut(bmap: BrouwerMap) -> Tuple[List[int], List[int]]:
     return sorted(cut), order
 
 
-def _propagate(bmap: BrouwerMap, cut: Sequence[int], order: Sequence[int], cut_values: np.ndarray) -> np.ndarray:
+def _propagate(bmap: BrouwerMap, cut: Sequence[int], order: Sequence[int], cut_values: Sequence[float]) -> List[float]:
     z = [0.0] * bmap.dim
     for pos, node in enumerate(cut):
         z[node] = float(cut_values[pos])
     for node in order:
         z[node] = bmap.row_values[node](z)
-    return np.array(z)
+    return z
 
 
 def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
@@ -409,10 +407,11 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
     # cut is non-empty when dim >= 1: every node has an in-edge from its gate's inputs, so there is a cycle
     cut, order = feedback_cut(bmap)
 
-    def reduced(c: np.ndarray) -> np.ndarray:
+    def displacement(c: List[float]) -> List[float]:
+        """The reduced map's value at cut values c, minus c."""
         bmap.ledger.record("cut_evals")
         z = _propagate(bmap, cut, order, c)
-        return np.array([bmap.row_values[node](z) for node in cut])
+        return [bmap.row_values[node](z) - x for node, x in zip(cut, c)]
 
     if len(cut) == 1:
         lo, hi = 0.0, 1.0
@@ -421,48 +420,46 @@ def cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
         prev_sign = 0
         it = 0
         for it in range(1, max_iter + 1):
-            w = float(reduced(np.array([c]))[0] - c)
+            w = displacement([c])[0]
             if abs(w) <= tol:
                 break
             sign = 1 if w > 0 else -1
+            # lo <= c <= hi, so c narrows the bracket
             if sign > 0:
-                lo = max(lo, c)
+                lo = c
             else:
-                hi = min(hi, c)
+                hi = c
             if prev_sign and sign != prev_sign:
                 gamma *= 0.5
             prev_sign = sign
-            cn = c + gamma * w
-            if not (lo < cn < hi):
-                cn = 0.5 * (lo + hi)
-            c = cn
-        cut_values = np.array([c])
+            c += gamma * w
+            if not (lo < c < hi):
+                c = 0.5 * (lo + hi)
+        best_c = [c]
     else:
         rng = random.Random(0)
-        best_c = None
         best_norm = np.inf
         it = 0
         for attempt in range(8):
-            c = np.full(len(cut), 0.5) if attempt == 0 else np.array([rng.random() for _ in cut])
+            c = [0.5] * len(cut) if attempt == 0 else [rng.random() for _ in cut]
             gamma = 0.5
             prev_norm = np.inf
             for _ in range(max_iter):
                 it += 1
-                w = reduced(c) - c
-                norm = float(np.max(np.abs(w)))
+                w = displacement(c)
+                norm = max(map(abs, w))
                 if norm < best_norm:
                     best_norm = norm
-                    best_c = c.copy()
+                    best_c = c
                 if norm <= tol:
                     break
                 if norm > prev_norm:
                     gamma = max(gamma * 0.5, 1e-6)
                 prev_norm = norm
-                c = np.clip(c + gamma * w, 0.0, 1.0)
+                c = [min(max(x + gamma * dx, 0.0), 1.0) for x, dx in zip(c, w)]
             if best_norm <= tol:
                 break
-        cut_values = best_c
-    z = _propagate(bmap, cut, order, cut_values)
+    z = np.array(_propagate(bmap, cut, order, best_c))
     res = residual(bmap, z)
     return FixedPointResult(z, res, "cycle_cut", it, res <= target)
 

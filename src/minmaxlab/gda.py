@@ -181,6 +181,8 @@ class GdaInstance:
     def flat_index(self, node: str, i: int, j: int) -> int:
         """Flat coordinate of (node, replica i in [1..n], inner j in [1..m])."""
         v_idx = self.bmap.index(node)
+        if type(i) is not int or type(j) is not int:
+            i, j = whole_number(i, "replica index i"), whole_number(j, "inner index j")
         if not (1 <= i <= self.n and 1 <= j <= self.m):
             raise ValueError(f"replica/inner index out of range: ({i}, {j})")
         return (v_idx * self.n + (i - 1)) * self.m + (j - 1)

@@ -85,6 +85,24 @@ def oracle_attracting(table=(0, 0, 0, 1), ledger=None):
     )
 
 
+def restart_ring(ledger=None):
+    """7 nodes: NOR(n6, n5 -> n0), PURIFY(n5 -> n1, n2), NOR(n2, n6 -> n3),
+    PURIFY(n3 -> n4, n5), NOR(n4, n0 -> n6).  Its feedback cut is {n5, n6},
+    and the cut solver's centre attempt spends all its 20000 steps above
+    the 1e-11 stop, so the solve needs a random restart."""
+    return CircuitInstance(
+        nodes=tuple(f"n{i}" for i in range(7)),
+        gates=(
+            nor("n6", "n5", "n0"),
+            purify("n5", "n1", "n2"),
+            nor("n2", "n6", "n3"),
+            purify("n3", "n4", "n5"),
+            nor("n4", "n0", "n6"),
+        ),
+        ledger=ledger or QueryLedger(),
+    )
+
+
 def build_constant_gadget_core(ledger=None):
     """The 9-node core v1..v9 of the constant gadget alone (pins v9 = 0)."""
     gadget = build_constant_gadget(ledger)

@@ -280,6 +280,22 @@ class TestInterpHess:
         with pytest.raises(ValueError):
             interp_hess_entry([0.1, 0.1], h, 0, 2)
 
+    @pytest.mark.parametrize("j, k", [(0.5, 0.5), (1.5, 1), (0, 1.5), (math.nan, 0), (1, math.nan)])
+    def test_index_must_be_a_whole_number(self, j, k):
+        ledger = QueryLedger()
+        with pytest.raises(ValueError, match="whole number"):
+            interp_hess_entry([0.25, 0.75], xor_oracle(ledger), j, k)
+        assert ledger.count("L") == 0
+
+    def test_whole_number_indices_are_taken_as_ints(self):
+        x = [0.25, 0.75]
+        expected = interp_hess_entry(x, xor_oracle(), 0, 1)
+        assert expected != 0.0
+        assert interp_hess_entry(x, xor_oracle(), False, True) == expected
+        assert interp_hess_entry(x, xor_oracle(), 0.0, np.int64(1)) == expected
+        with pytest.raises(ValueError, match=r"indices out of range for arity 2: \(2, 0\)"):
+            interp_hess_entry(x, xor_oracle(), 2.0, 0)
+
     def test_off_diagonal_product_structure(self):
         h = xor_oracle()
         x = [0.25, 0.75]

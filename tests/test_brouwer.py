@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 from typing import Optional
 
@@ -32,7 +33,16 @@ from minmaxlab.config import DEFAULTS
 from minmaxlab.gda import _signals_from_energies
 from minmaxlab.smoothstep import ELL, G
 
-from circuits import build_chain, every_instance, nor_loop, oracle_attracting, oracle_pair, oracle_purify, purify_loop
+from circuits import (
+    build_chain,
+    every_instance,
+    nor_loop,
+    oracle_attracting,
+    oracle_pair,
+    oracle_purify,
+    purify_loop,
+    restart_ring,
+)
 from test_kernels import signal_slopes
 
 
@@ -400,6 +410,80 @@ def reference_damped_iteration(bmap: BrouwerMap, z0: Optional[np.ndarray] = None
     )
 
 
+def reference_propagate(bmap: BrouwerMap, cut, order, cut_values: np.ndarray) -> np.ndarray:
+    z = [0.0] * bmap.dim
+    for pos, node in enumerate(cut):
+        z[node] = float(cut_values[pos])
+    for node in order:
+        z[node] = bmap.row_values[node](z)
+    return np.array(z)
+
+
+def reference_cycle_cut_solve(bmap: BrouwerMap) -> FixedPointResult:
+    """cycle_cut_solve as it was when it ran on numpy arrays, with a
+    reduced map in place of the displacement: the same iterates, stops
+    and charges, written apart from the package."""
+    target, max_iter, tol = DEFAULTS.brouwer_eps, 20000, 1e-11
+    cut, order = feedback_cut(bmap)
+
+    def reduced(c: np.ndarray) -> np.ndarray:
+        bmap.ledger.record("cut_evals")
+        z = reference_propagate(bmap, cut, order, c)
+        return np.array([bmap.row_values[node](z) for node in cut])
+
+    if len(cut) == 1:
+        lo, hi = 0.0, 1.0
+        c = 0.5
+        gamma = 0.5
+        prev_sign = 0
+        it = 0
+        for it in range(1, max_iter + 1):
+            w = float(reduced(np.array([c]))[0] - c)
+            if abs(w) <= tol:
+                break
+            sign = 1 if w > 0 else -1
+            if sign > 0:
+                lo = max(lo, c)
+            else:
+                hi = min(hi, c)
+            if prev_sign and sign != prev_sign:
+                gamma *= 0.5
+            prev_sign = sign
+            cn = c + gamma * w
+            if not (lo < cn < hi):
+                cn = 0.5 * (lo + hi)
+            c = cn
+        cut_values = np.array([c])
+    else:
+        rng = random.Random(0)
+        best_c = None
+        best_norm = np.inf
+        it = 0
+        for attempt in range(8):
+            c = np.full(len(cut), 0.5) if attempt == 0 else np.array([rng.random() for _ in cut])
+            gamma = 0.5
+            prev_norm = np.inf
+            for _ in range(max_iter):
+                it += 1
+                w = reduced(c) - c
+                norm = float(np.max(np.abs(w)))
+                if norm < best_norm:
+                    best_norm = norm
+                    best_c = c.copy()
+                if norm <= tol:
+                    break
+                if norm > prev_norm:
+                    gamma = max(gamma * 0.5, 1e-6)
+                prev_norm = norm
+                c = np.clip(c + gamma * w, 0.0, 1.0)
+            if best_norm <= tol:
+                break
+        cut_values = best_c
+    z = reference_propagate(bmap, cut, order, cut_values)
+    res = residual(bmap, z)
+    return FixedPointResult(z, res, "cycle_cut", it, res <= target)
+
+
 class TestEarlyStop:
     """The 500-step stop rule of damped_iteration only shortens attempts
     that would not have improved again: against the loop without it, the
@@ -541,6 +625,53 @@ class TestCentreThenCut:
         result = find_fixed_point(bmap, seed=seed)
         assert result.method == "cycle_cut" and result.converged
         assert check_assignment(bmap.circuit, decode_brouwer(bmap, result.z)) == []
+
+
+class TestCutSolverReference:
+    """cycle_cut_solve against the array-based solver it was, on the 40 maps
+    (one-coordinate cuts), two_nor_loops (a two-coordinate cut solved from
+    the centre) and restart_ring (a two-coordinate cut that needs a random
+    restart)."""
+
+    @pytest.mark.parametrize("make", [
+        *EVERY_MAP,
+        pytest.param(two_nor_loops, id="two_nor_loops"),
+        pytest.param(restart_ring, id="restart_ring"),
+    ])
+    def test_same_result_and_charges(self, make):
+        new, old = build_brouwer(make()), build_brouwer(make())
+        got, expected = cycle_cut_solve(new), reference_cycle_cut_solve(old)
+        assert_same_result(got, expected)
+        assert got.converged == expected.converged
+        assert new.ledger.snapshot() == old.ledger.snapshot()
+
+
+class TestCutRestarts:
+    """On restart_ring the cut solver's centre attempt runs out and its
+    first random restart converges."""
+
+    def test_cut_solve_converges_after_a_restart(self):
+        bmap = build_brouwer(restart_ring())
+        assert feedback_cut(bmap)[0] == [5, 6]
+        result = cycle_cut_solve(bmap)
+        # all 20000 steps of the centre attempt, then 38 of attempt 1
+        assert result.iterations == 20038
+        assert result.converged and result.residual < 1e-11
+        assert result.residual == pytest.approx(6.144e-12, rel=1e-3)
+        assert check_assignment(bmap.circuit, decode_brouwer(bmap, result.z)) == []
+
+    def test_damped_iteration_from_the_centre_misses(self):
+        bmap = build_brouwer(restart_ring())
+        result = damped_iteration(bmap)
+        assert not result.converged
+        assert result.residual == 0.28125
+
+    def test_search_ends_in_the_cut_solve(self):
+        bmap = build_brouwer(restart_ring())
+        result = find_fixed_point(bmap)
+        assert result.method == "cycle_cut" and result.converged
+        assert result.iterations == 20038
+        assert bmap.ledger.snapshot() == {"F_evals": 504, "cut_evals": 20038}
 
 
 class TestSearchContract:

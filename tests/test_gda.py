@@ -155,6 +155,19 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.flat_index("zz", 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(1.5, 1), (1, 1.5), (math.nan, 1), (1, math.nan)])
+    def test_flat_index_must_be_a_whole_number(self, i, j):
+        inst = scaled(nor_loop(), n=2)
+        with pytest.raises(ValueError, match="whole number"):
+            inst.flat_index("a", i, j)
+
+    def test_flat_index_takes_whole_numbers_as_ints(self):
+        inst = scaled(nor_loop(), n=2)
+        assert inst.flat_index("b", True, True) == inst.flat_index("b", 1, 1) == 6
+        assert inst.flat_index("b", 2.0, np.int64(3)) == inst.flat_index("b", 2, 3) == 11
+        with pytest.raises(ValueError, match=r"replica/inner index out of range: \(3, 1\)"):
+            inst.flat_index("b", 3.0, 1)
+
 
 # ---------------------------------------------------------------------------
 # energies and signals

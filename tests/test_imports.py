@@ -15,7 +15,7 @@ import pytest
 from minmaxlab.brouwer import build_brouwer
 from minmaxlab.circuit import NOR, ORACLE, PURIFY, circuit_to_json
 
-from circuits import nor_loop, oracle_purify, purify_loop
+from circuits import nor_loop, oracle_purify, purify_loop, restart_ring
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minmaxlab"
 
@@ -57,19 +57,17 @@ def test_no_unused_imports(name):
 SEEDED_DRAWS = """
 import sys
 from minmaxlab import brouwer, cli
-from minmaxlab.circuit import CircuitInstance, nor, purify
+from minmaxlab.circuit import circuit_from_json
 
-circuit, descriptor, out = sys.argv[1:]
+circuit, descriptor, ring, out = sys.argv[1:]
 assert cli.main(["solve", descriptor, "--algo", "pgda", "--steps", "2", "--out", out]) in (0, 1)
 assert cli.main(["grad-check", circuit]) in (0, 1)
 assert cli.main(["grad-check", descriptor]) in (0, 1)
-two_loops = CircuitInstance(
-    nodes=("a", "b", "c", "x", "y", "w"),
-    gates=(purify("a", "b", "c"), nor("b", "c", "a"), purify("x", "y", "w"), nor("y", "w", "x")),
-)
-bmap = brouwer.build_brouwer(two_loops)
-assert len(brouwer.feedback_cut(bmap)[0]) == 2
-brouwer.cycle_cut_solve(bmap)
+with open(ring) as f:
+    bmap = brouwer.build_brouwer(circuit_from_json(f.read()))
+assert brouwer.feedback_cut(bmap)[0] == [5, 6]
+# past the centre attempt's 20000 steps: the restarts drew their starts
+assert brouwer.cycle_cut_solve(bmap).iterations > 20000
 print("numpy.random" in sys.modules)
 """
 
@@ -78,12 +76,14 @@ def test_seeded_draws_leave_numpy_random_unloaded(tmp_path):
     # solver starts, grad-check points and cut restarts draw from random.Random:
     # numpy.random would load its extension modules and OpenSSL into every run
     circuit, inner, descriptor = tmp_path / "circuit.json", tmp_path / "inner.json", tmp_path / "gda.json"
+    ring = tmp_path / "ring.json"
     circuit.write_text(circuit_to_json(purify_loop()))
+    ring.write_text(circuit_to_json(restart_ring()))
     inner.write_text(circuit_to_json(nor_loop()))
     descriptor.write_text(json.dumps({"circuit": inner.name, "mode": "scaled", "delta": 0.05, "n": 2, "eps": 1e-4}))
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    args = [sys.executable, "-c", SEEDED_DRAWS, str(circuit), str(descriptor), str(tmp_path / "runs")]
+    args = [sys.executable, "-c", SEEDED_DRAWS, str(circuit), str(descriptor), str(ring), str(tmp_path / "runs")]
     out = subprocess.run(args, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
