@@ -5,7 +5,7 @@ Subcommands:
   build-gda <descriptor>           build a min-max instance and report it
   verify <instance> <point-file>   check a candidate solution
   grad-check <instance>            finite-difference gradient audit
-  solve <descriptor>               run pgda / extragradient / grid search
+  solve <descriptor>               run pgda / extragradient
   query-report <run-dir>           aggregate ledger totals from reports
 
 An instance file is read once, and one rule decides its kind: a JSON
@@ -207,16 +207,6 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
 def _cmd_solve(args) -> Tuple[int, dict]:
     inst = _load_instance(args.instance, "descriptor")
     obj = harness.GdaObjective(inst)
-    if args.algo == "grid":
-        # 2 per coordinate: every instance has >= 16 coordinates and 3^16 exceeds the grid budget
-        gap = harness.grid_search_stationary(obj, 2)[2]
-        payload = {
-            "algorithm": "grid",
-            "gap": gap,
-            "ledger": inst.ledger.snapshot(),
-            "mode": inst.params.mode,
-        }
-        return 0, payload
     _check_seed(args.seed)
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
     run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a solver on an instance")
     p.add_argument("instance")
-    p.add_argument("--algo", choices=("pgda", "extragradient", "grid"), required=True)
+    p.add_argument("--algo", choices=("pgda", "extragradient"), required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

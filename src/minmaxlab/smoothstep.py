@@ -115,12 +115,16 @@ def step_d1(spec: StepSpec, x: float) -> float:
         try:
             ap = A / (a * a)
             bp = -B / (b * b)
-            return (ap * B - A * bp) / ss
+            t = ap * B - A * bp
         except ZeroDivisionError:
-            pass  # a * a or b * b underflowed to 0, and its eta with it
-    # s * s is subnormal or 0, where ap * B and A * bp lose bits or underflow: an
-    # eta that is 0 takes step' = A B (1/a^2 + 1/b^2) / s^2 to its limit 0; else
-    # divide through by s
+            t = 0.0  # a * a or b * b underflowed to 0, and its eta with it
+        # a subnormal numerator has lost bits; where an eta is itself subnormal
+        # it had lost them already
+        if t >= _NORMAL_MIN or A < _NORMAL_MIN or B < _NORMAL_MIN:
+            return t / ss
+    # s * s or the numerator is subnormal or 0, where ap * B and A * bp lose bits
+    # or underflow: an eta that is 0 takes step' = A B (1/a^2 + 1/b^2) / s^2 to
+    # its limit 0; else divide through by s
     return (A / s) * (B / s) * (1.0 / (a * a) + 1.0 / (b * b)) if A and B else 0.0
 
 
@@ -141,10 +145,13 @@ def step_d2(spec: StepSpec, x: float) -> float:
     bp = -B / (b * b) if B else -0.0
     app = A * (1.0 / a**4 - 2.0 / a**3) if A else 0.0
     bpp = B * (1.0 / b**4 - 2.0 / b**3) if B else 0.0
-    if s**3 < _NORMAL_MIN:
-        # s**3 (and maybe s * s) is subnormal or 0 while s is not: divide every term through by s
-        A, B, ap, bp, app, bpp, s = A / s, B / s, ap / s, bp / s, app / s, bpp / s, 1.0
     t = ap * B - A * bp
+    if s**3 < _NORMAL_MIN or ((ap - bp) * t < _NORMAL_MIN and A >= _NORMAL_MIN and B >= _NORMAL_MIN):
+        # s**3 (and maybe s * s) is subnormal or 0 while s is not; or both etas
+        # are normal, but (ap - bp) t, which bounds the numerator (ap + bp) t, is
+        # subnormal and has lost bits: divide every term through by s
+        A, B, ap, bp, app, bpp, s = A / s, B / s, ap / s, bp / s, app / s, bpp / s, 1.0
+        t = ap * B - A * bp
     return (app * B - A * bpp) / (s * s) - 2.0 * (ap + bp) * t / (s**3)
 
 

@@ -474,27 +474,12 @@ class TestSolve:
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
 
-    def test_grid_algo_on_tiny_instance(self, tmp_path, capsys):
-        # 2 nodes at n = 2: 16 coordinates, the fewest an instance can have, at 2 points each
-        circ = tmp_path / "pair.json"
-        circ.write_text(circuit_to_json(oracle_pair()))
-        desc = tmp_path / "pair_gda.json"
-        desc.write_text(
-            json.dumps(
-                {"circuit": "pair.json", "mode": "scaled", "delta": 0.05, "n": 2, "eps": 1e-4}
-            )
-        )
-        assert main(["solve", str(desc), "--algo", "grid"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["algorithm"] == "grid"
-        assert "gap" in out
-        assert out["ledger"]["grad_f_evals"] == 2**16
-
-    def test_grid_resolution_is_not_an_option(self, gda_file):
-        # 3 points per coordinate on 16 coordinates exceed the grid budget, so 2 is fixed
+    def test_grid_algo_is_rejected(self, gda_file, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", str(gda_file), "--algo", "grid", "--resolution", "2"])
+            main(["solve", str(gda_file), "--algo", "grid"])
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'grid'" in captured.err
 
     def test_query_report(self, gda_file, tmp_path, capsys):
         out_dir = tmp_path / "reports"
