@@ -35,6 +35,7 @@ from . import brouwer, gda, harness
 from .circuit import (
     _json_list,
     _json_loads,
+    _json_number,
     _json_object,
     _naming,
     check_assignment,
@@ -76,8 +77,13 @@ def _load_points(path: Path, expected: int) -> np.ndarray:
 
 def _load_instance(path: str, only: Optional[str] = None):
     """The instance in the file at ``path``: a gda.GdaInstance for a min-max
-    descriptor, else a CircuitInstance.  A kind other than ``only`` ("circuit"
-    or "descriptor") is rejected before anything is built.  Errors start with the path."""
+    descriptor {"circuit": <a circuit file's path relative to the descriptor's
+    directory, or an inline circuit object>, "mode": "scaled" (the default) or
+    "paper", "delta": .., "n": .., "eps": .., "rho": ..}, else a CircuitInstance.
+    A given delta, eps or rho must be a JSON number, and true or false is not one.
+    A kind other than ``only`` ("circuit" or "descriptor") is rejected before
+    anything is built.  Errors start with the path; one in a named circuit file
+    then names that file."""
     path = Path(path)
     with _naming(path):
         payload = _json_loads(path.read_text())
@@ -86,7 +92,17 @@ def _load_instance(path: str, only: Optional[str] = None):
             raise ValueError(f'a {kind}, not a {only}: a JSON object with a "circuit" key is a descriptor')
         if kind == "circuit":
             return circuit_from_payload(payload)
-        return gda.gda_from_descriptor(payload, path.parent)
+        ref = payload["circuit"]
+        if isinstance(ref, str):
+            with _naming(path.parent / ref):
+                circuit = circuit_from_payload(_json_loads((path.parent / ref).read_text()))
+        else:
+            circuit = circuit_from_payload(ref)
+        numbers = {key: _json_number(value, f"a descriptor's {key!r}")
+                   for key, value in payload.items() if key in ("delta", "eps", "rho")}
+        mode = payload.get("mode", "scaled")
+        params = gda.derive_parameters(m=len(circuit.nodes), mode=mode, n=payload.get("n"), **numbers)
+        return gda.build_gda_instance(circuit, params)
 
 
 # Each command returns (exit code, payload); main prints the payload once the
@@ -161,20 +177,14 @@ def _cmd_verify(args) -> Tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random would take a negative seed as its absolute value
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-
-
 def _cmd_grad_check(args) -> Tuple[int, dict]:
     h = args.h
     harness.check_fd_step(h, "--h")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    whole_number(args.points, "--points", 1)
     if not 0 <= args.tol < math.inf:  # NaN fails
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
-    _check_seed(args.seed)
+    # random.Random would take a negative seed as its absolute value
+    whole_number(args.seed, "--seed")
     rng = random.Random(args.seed)
     inst = _load_instance(args.instance)
     if isinstance(inst, gda.GdaInstance):
@@ -207,7 +217,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
 def _cmd_solve(args) -> Tuple[int, dict]:
     inst = _load_instance(args.instance, "descriptor")
     obj = harness.GdaObjective(inst)
-    _check_seed(args.seed)
+    whole_number(args.seed, "--seed")
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
     run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
     extra = {}

@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Real
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,12 +70,7 @@ from .circuit import (
     Assignment,
     CircuitInstance,
     Gate,
-    _json_loads,
-    _json_number,
-    _json_object,
-    _naming,
     check_assignment,
-    circuit_from_payload,
 )
 from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
@@ -147,7 +141,8 @@ def derive_parameters(
     if mode == "scaled":
         if delta is None or n is None or eps is None:
             raise ValueError("scaled mode needs delta, n, and eps")
-        if not all(isinstance(v, Real) and 0 < v < math.inf for v in (delta, eps)):  # NaN fails
+        # NaN fails, and so do True and False, which are Reals but not numbers
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and 0 < v < math.inf for v in (delta, eps)):
             raise ValueError(f"delta and eps must be finite positive numbers, got {delta!r}, {eps!r}")
         n = whole_number(n, "n", 2)
         if n % 2:
@@ -441,26 +436,3 @@ def dichotomy_extract(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Dichot
         violations=violations,
         warning=warning,
     )
-
-
-# ---------------------------------------------------------------------------
-# descriptor files
-# ---------------------------------------------------------------------------
-
-def gda_from_descriptor(desc, base: Path) -> GdaInstance:
-    """Instance from a parsed descriptor {"circuit": <path relative to ``base``
-    or inline circuit object>, "mode": "scaled" (the default) or "paper",
-    "delta": .., "n": .., "eps": .., "rho": ..}; a given delta, eps or rho
-    must be a JSON number, and true or false is not one.  An error in
-    reading or parsing a circuit file starts with that file's path."""
-    desc = _json_object(desc, "a min-max descriptor")
-    circ_ref = desc["circuit"]
-    if isinstance(circ_ref, str):
-        with _naming(base / circ_ref):
-            circuit = circuit_from_payload(_json_loads((base / circ_ref).read_text()))
-    else:
-        circuit = circuit_from_payload(circ_ref)
-    numbers = {key: _json_number(value, f"a descriptor's {key!r}")
-               for key, value in desc.items() if key in ("delta", "eps", "rho")}
-    params = derive_parameters(m=len(circuit.nodes), mode=desc.get("mode", "scaled"), n=desc.get("n"), **numbers)
-    return build_gda_instance(circuit, params)

@@ -376,7 +376,7 @@ class TestGradCheck:
         assert main(["grad-check", str(gda_file), f"--points={points}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--points must be >= 1" in captured.err
+        assert captured.err.count(f"error: --points must be a whole number >= 1, got {points}\n") == 2
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_seed_is_usage_error(self, circ_file, gda_file, capsys, seed):
@@ -386,7 +386,7 @@ class TestGradCheck:
             assert main(["solve", str(gda_file), "--algo", algo, "--steps", "2", f"--seed={seed}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count(f"error: --seed must be >= 0, got {seed}\n") == 4
+        assert captured.err.count(f"error: --seed must be a whole number >= 0, got {seed}\n") == 4
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_circuit_error_is_the_worst_jacobian_entry(self, tmp_path, capsys, name):

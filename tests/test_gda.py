@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minmaxlab.boolinterp import dense_sum_eval
-from minmaxlab.circuit import BOT, build_constant_gadget
+from minmaxlab.circuit import BOT, build_constant_gadget, check_assignment
 from minmaxlab.gda import (
     block_energies,
     build_gda_instance,
@@ -117,6 +117,16 @@ class TestParameters:
     def test_scaled_rejects_non_finite(self, delta, n, eps):
         with pytest.raises(ValueError):
             derive_parameters(m=2, mode="scaled", delta=delta, n=n, eps=eps)
+
+    @pytest.mark.parametrize("delta, eps", [(True, 1e-4), (0.1, True), (True, True)])
+    def test_scaled_rejects_bools(self, delta, eps):
+        # a bool is a numbers.Real, but true is not a number, here or in a descriptor
+        with pytest.raises(ValueError, match="delta and eps must be finite positive numbers"):
+            derive_parameters(m=3, mode="scaled", delta=delta, n=2, eps=eps)
+
+    def test_bool_rho_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0,1\), got True"):
+            derive_parameters(m=3, rho=True, mode="scaled", delta=0.1, n=2, eps=1e-4)
 
     def test_mode_recorded(self):
         p = derive_parameters(m=2, mode="scaled", delta=0.1, n=4, eps=1e-4)
@@ -719,6 +729,23 @@ class TestGadgetPipeline:
         assert result.violations  # nonempty
         kinds = {g.kind for g in result.violations}
         assert kinds == {"NOR"}
+
+    def test_dichotomy_at_the_point_pgda_found(self):
+        # where `minmaxlab solve` extracts: 50 steps are far from eps, so the
+        # decoded assignment comes back with its violated gates as data
+        from minmaxlab.harness import GdaObjective, run_pgda
+
+        gadget, inst = self.build()
+        run = run_pgda(GdaObjective(inst), 50, seed=0, gap_every=10)
+        before = inst.ledger.snapshot()
+        result = dichotomy_extract(inst, *run.best_point)
+        after = inst.ledger.snapshot()
+        assert result.gap == run.best_gap == 0.8403774544403665
+        assert not result.gap_ok and result.warning is not None
+        assert result.witness is None and result.assignment is not None
+        assert len(result.violations) == 4
+        assert result.violations == check_assignment(gadget.instance, result.assignment)
+        assert {k: after[k] - before.get(k, 0) for k in after} == {"grad_f_evals": 1, "F_evals": 32, "JF_evals": 8}
 
 
 class TestDichotomy:

@@ -1,5 +1,6 @@
-"""What the package imports: no module imports a name it never uses, and
-the seeded draws leave numpy.random unloaded."""
+"""What the package imports: no module imports a name it never uses, only
+cli takes a sibling's private names, gda reads no files, and the seeded
+draws leave numpy.random unloaded."""
 
 import ast
 import io
@@ -52,6 +53,32 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(imported_names(tree)) - used - READ_BY_GENERATED_CODE.get(name, set())
     assert not unused, f"{name} imports {sorted(unused)} without using them"
+
+
+def imports_from(tree: ast.Module):
+    """(module, name) for each name a `from ... import` of the tree takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+# cli reads every input file with circuit's strict-JSON helpers; every
+# other module takes only the public names of its siblings
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py"))
+def test_private_names_stay_in_their_module(name):
+    tree = ast.parse((SRC / name).read_text())
+    stems = {p.stem for p in SRC.glob("*.py")}
+    siblings = stems | {f"minmaxlab.{stem}" for stem in stems}
+    private = [(module, imported) for module, imported in imports_from(tree)
+               if module in siblings and imported.startswith("_")]
+    assert not private, f"{name} imports private names {private}"
+
+
+def test_gda_reads_no_files():
+    tree = ast.parse((SRC / "gda.py").read_text())
+    modules = {module for module, _ in imports_from(tree)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "pathlib" not in modules
 
 
 SEEDED_DRAWS = """
