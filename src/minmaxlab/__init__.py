@@ -64,7 +64,6 @@ from .harness import (
     grid_search_stationary,
     run_extragradient,
     run_pgda,
-    write_report,
 )
 from .ledger import QueryLedger
 from .smoothstep import StepSpec, named_step, step_d1, step_d2, step_eval

@@ -14,7 +14,7 @@ circuit.  verify and grad-check take either kind, build-brouwer only a
 circuit, build-gda and solve only a descriptor; the wrong kind exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-The report directory can be overridden with $MINMAXLAB_REPORT_DIR.
+solve writes its report to --out, else $MINMAXLAB_REPORT_DIR, else ./reports.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import warnings
@@ -51,10 +52,21 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path, text: str) -> None:
     """Write ``text`` to the file at ``path``; errors start with the path."""
     with _naming(path):
         Path(path).write_text(text)
+
+
+def _finite_or_none(value: float) -> Optional[float]:
+    """A float for strict JSON: None (null) where it is NaN or infinite."""
+    return value if math.isfinite(value) else None
+
+
+def _check_nonnegative(value: float, flag: str) -> None:
+    """The value of ``flag`` must be finite and >= 0."""
+    if not 0 <= value < math.inf:  # NaN fails
+        raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
 def _load_points(path: Path, expected: int) -> np.ndarray:
@@ -181,8 +193,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
     h = args.h
     harness.check_fd_step(h, "--h")
     whole_number(args.points, "--points", 1)
-    if not 0 <= args.tol < math.inf:  # NaN fails
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    _check_nonnegative(args.tol, "--tol")
     # random.Random would take a negative seed as its absolute value
     whole_number(args.seed, "--seed")
     rng = random.Random(args.seed)
@@ -205,7 +216,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
     rep = harness.fd_check(value_fn, grad_fn, points, h)
     ok = bool(rep.max_rel_err <= args.tol)
     payload = {
-        "max_rel_err": harness.finite_or_none(float(rep.max_rel_err)),
+        "max_rel_err": _finite_or_none(float(rep.max_rel_err)),
         "checked": rep.checked,
         "h": h,
         "tol": args.tol,
@@ -215,11 +226,14 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
 
 
 def _cmd_solve(args) -> Tuple[int, dict]:
-    inst = _load_instance(args.instance, "descriptor")
-    obj = harness.GdaObjective(inst)
+    whole_number(args.steps, "--steps", 1)
+    whole_number(args.gap_every, "--gap-every", 1)
+    if args.lr is not None:
+        _check_nonnegative(args.lr, "--lr")
     whole_number(args.seed, "--seed")
+    inst = _load_instance(args.instance, "descriptor")
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
-    run = runner(obj, steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
+    run = runner(harness.GdaObjective(inst), steps=args.steps, lr=args.lr, seed=args.seed, gap_every=args.gap_every)
     extra = {}
     if not run.aborted:
         outcome = gda.dichotomy_extract(inst, *run.best_point)
@@ -229,12 +243,33 @@ def _cmd_solve(args) -> Tuple[int, dict]:
             "branch": "witness" if outcome.witness is not None else "assignment",
             "violations": [g.label() for g in outcome.violations or []],
         }
-    paths = harness.write_report([run], {"instance": inst.ledger.snapshot()}, args.out, extra=extra)
+    out = Path(args.out or os.environ.get("MINMAXLAB_REPORT_DIR") or "reports")
+    with _naming(out):
+        out.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out / "gap_curves.csv", out / "report.json"
+    rows = "".join(f"0,{run.algorithm},{t},{gap!r}\n" for t, gap in run.gap_curve)
+    _write(csv_path, "run,algorithm,iteration,gap\n" + rows)
+    report = {
+        "runs": [{
+            "algorithm": run.algorithm,
+            "step_size": run.step_size,
+            "iterations": run.iterations,
+            "seed": run.seed,
+            "mode": run.mode,
+            "best_gap": _finite_or_none(run.best_gap),
+            "aborted": run.aborted,
+            "diagnostic": run.diagnostic,
+            "ledger": run.ledger_snapshot,
+        }],
+        "ledgers": {"instance": inst.ledger.snapshot()},
+        "extra": extra,
+    }
+    _write(json_path, _dumps(report) + "\n")
     payload = {
         "algorithm": run.algorithm,
-        "best_gap": harness.finite_or_none(run.best_gap),
+        "best_gap": _finite_or_none(run.best_gap),
         "aborted": run.aborted,
-        "reports": [str(p) for p in paths],
+        "reports": [str(csv_path), str(json_path)],
     }
     return (1 if run.aborted else 0), payload
 
@@ -310,7 +345,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.func(args)
-        print(_dumps(payload))
+        text = _dumps(payload)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # a reader that closed stdout early leaves the result as it is; as the
+            # signal module's docs advise, devnull takes the flush at shutdown
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Solvers, validators, and reporting around the min-max oracles.
+"""Solvers and validators around the min-max oracles.
 
 Solvers talk to objectives only through ledgered value/gradient oracles
 (anything with ``dim_x``, ``dim_y``, ``value``, ``grad``, ``ledger``,
@@ -16,14 +16,10 @@ gradient-oracle call and an extragradient iteration exactly two.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -299,65 +295,3 @@ def fd_check(
         checked=checked,
         skipped=skipped,
     )
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-def report_dir(override: Optional[str] = None) -> Path:
-    """Report directory: explicit argument, else $MINMAXLAB_REPORT_DIR,
-    else ./reports."""
-    if override:
-        return Path(override)
-    env = os.environ.get("MINMAXLAB_REPORT_DIR")
-    return Path(env) if env else Path("reports")
-
-
-def finite_or_none(value: float) -> Optional[float]:
-    """A float for strict JSON: None (null) where it is NaN or infinite."""
-    return value if math.isfinite(value) else None
-
-
-def write_report(
-    runs: Sequence[SolverRun],
-    ledgers: Optional[Dict[str, Dict[str, int]]] = None,
-    out: Optional[str] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> List[Path]:
-    """Emit gap_curves.csv and report.json; byte-stable for equal inputs.
-
-    `extra` is merged verbatim under the "extra" key and is the slot for
-    dichotomy outcomes, bound-certificate summaries, and similar
-    side-channel results.
-    """
-    out_path = report_dir(out)
-    out_path.mkdir(parents=True, exist_ok=True)
-    csv_path = out_path / "gap_curves.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "algorithm", "iteration", "gap"])
-        for idx, run in enumerate(runs):
-            for iteration, gap in run.gap_curve:
-                writer.writerow([idx, run.algorithm, iteration, repr(gap)])
-    json_path = out_path / "report.json"
-    payload = {
-        "runs": [
-            {
-                "algorithm": run.algorithm,
-                "step_size": run.step_size,
-                "iterations": run.iterations,
-                "seed": run.seed,
-                "mode": run.mode,
-                "best_gap": finite_or_none(run.best_gap),
-                "aborted": run.aborted,
-                "diagnostic": run.diagnostic,
-                "ledger": dict(sorted(run.ledger_snapshot.items())),
-            }
-            for run in runs
-        ],
-        "ledgers": {k: dict(sorted(v.items())) for k, v in (ledgers or {}).items()},
-        "extra": extra or {},
-    }
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    return [csv_path, json_path]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minmaxlab import harness
 from minmaxlab.brouwer import build_brouwer, eval_F, eval_JF
 from minmaxlab.cli import build_parser, main
 from minmaxlab.circuit import Assignment, build_constant_gadget, check_assignment, circuit_from_json, circuit_to_json
@@ -434,6 +435,53 @@ class TestGradCheck:
         assert out["max_rel_err"] is None and out["ok"] is False
 
 
+SOLVE_50 = ["solve", "--algo", "pgda", "--steps", "50", "--lr", "0.05", "--gap-every", "10"]
+GAP_CURVES_50 = """run,algorithm,iteration,gap
+0,pgda,0,0.7130482633329904
+0,pgda,10,0.36746701327546827
+0,pgda,20,0.30384543105864326
+0,pgda,30,0.5023867155102536
+0,pgda,40,0.6262224187640169
+"""
+REPORT_50 = """{
+  "extra": {
+    "dichotomy": {
+      "branch": "assignment",
+      "gap": 0.24263101633222284,
+      "gap_ok": false,
+      "violations": [
+        "NOR(b,c -> a)"
+      ]
+    }
+  },
+  "ledgers": {
+    "instance": {
+      "F_evals": 108,
+      "JF_evals": 102,
+      "grad_f_evals": 51
+    }
+  },
+  "runs": [
+    {
+      "aborted": false,
+      "algorithm": "pgda",
+      "best_gap": 0.24263101633222284,
+      "diagnostic": null,
+      "iterations": 50,
+      "ledger": {
+        "F_evals": 100,
+        "JF_evals": 100,
+        "grad_f_evals": 50
+      },
+      "mode": "scaled",
+      "seed": 0,
+      "step_size": 0.05
+    }
+  ]
+}
+"""
+
+
 class TestSolve:
     def test_pgda_writes_reports(self, gda_file, tmp_path, capsys):
         out_dir = tmp_path / "reports"
@@ -455,21 +503,78 @@ class TestSolve:
         assert (out_dir / "gap_curves.csv").exists()
         assert (out_dir / "report.json").exists()
 
-    @pytest.mark.parametrize(
-        "flags", [["--gap-every", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.5"]]
-    )
-    def test_bad_solver_settings_exit_two(self, gda_file, tmp_path, capsys, flags):
-        args = ["solve", str(gda_file), "--algo", "pgda", "--steps", "5", "--out", str(tmp_path)]
-        assert main(args + flags) == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_out_that_is_a_file_exits_two(self, gda_file, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
         assert main(["solve", str(gda_file), "--algo", "pgda", "--steps", "5", "--out", str(afile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err == f"error: {afile}: File exists\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "0"], "--steps must be a whole number >= 1, got 0"),
+            (["--gap-every", "0"], "--gap-every must be a whole number >= 1, got 0"),
+            (["--lr", "-1"], "--lr must be finite and >= 0, got -1.0"),
+            (["--lr", "-0.5"], "--lr must be finite and >= 0, got -0.5"),
+            (["--lr", "nan"], "--lr must be finite and >= 0, got nan"),
+            (["--lr", "inf"], "--lr must be finite and >= 0, got inf"),
+            (["--seed", "-3"], "--seed must be a whole number >= 0, got -3"),
+        ],
+        ids=["steps", "gap-every", "lr", "lr-half", "lr-nan", "lr-inf", "seed"],
+    )
+    def test_flags_checked_before_the_file_is_read(self, tmp_path, capsys, flags, message):
+        assert main(["solve", str(tmp_path / "missing.json"), "--algo", "pgda", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_identical_runs_write_the_pinned_report(self, gda_file, tmp_path, capsys):
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            assert main(SOLVE_50 + [str(gda_file), "--out", str(out_dir)]) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "algorithm": "pgda",
+                "best_gap": 0.24263101633222284,
+                "aborted": False,
+                "reports": [str(out_dir / "gap_curves.csv"), str(out_dir / "report.json")],
+            }
+            assert (out_dir / "gap_curves.csv").read_bytes() == GAP_CURVES_50.encode()
+            assert (out_dir / "report.json").read_bytes() == REPORT_50.encode()
+
+    def test_aborted_run_report_is_strict_json(self, gda_file, tmp_path, capsys, monkeypatch):
+        def nan_gradient(inst, x, y):
+            return np.full(inst.dim, math.nan), np.zeros(inst.dim)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        # GdaObjective calls the eval_grad_f of harness's namespace
+        monkeypatch.setattr(harness, "eval_grad_f", nan_gradient)
+        assert main(["solve", str(gda_file), "--algo", "pgda", "--steps", "10", "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().out)["best_gap"] is None
+        payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert payload["runs"][0]["best_gap"] is None
+        assert payload["runs"][0]["iterations"] == 0
+        assert payload["runs"][0]["aborted"] is True
+        assert payload["extra"] == {}
+
+    def test_report_directory_defaults(self, gda_file, tmp_path, capsys, monkeypatch):
+        args = ["solve", str(gda_file), "--algo", "pgda", "--steps", "3"]
+        monkeypatch.setenv("MINMAXLAB_REPORT_DIR", str(tmp_path / "envdir"))
+        assert main(args + ["--out", str(tmp_path / "outdir")]) == 0
+        assert (tmp_path / "outdir" / "report.json").is_file()
+        assert main(args) == 0
+        assert (tmp_path / "envdir" / "report.json").is_file()
+        monkeypatch.delenv("MINMAXLAB_REPORT_DIR")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == ["reports/gap_curves.csv", "reports/report.json"]
+        assert (work / "reports" / "report.json").is_file()
 
     def test_solve_requires_descriptor(self, circ_file):
         assert main(["solve", str(circ_file), "--algo", "pgda"]) == 2
@@ -655,10 +760,24 @@ class TestInstanceFiles:
         assert outputs[0] == outputs[1]
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_closed_stdout_keeps_the_exit_code(circ_file, tmp_path):
+    # a reader that stops early, as `| head` does, is no usage error: the
+    # point fails verification, so the exit code stays 1, with no error line
+    z = tmp_path / "z.csv"
+    z.write_text("0.5,0.5,0.5,0.5\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _python("-m", "minmaxlab.cli", "verify", str(circ_file), str(z), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
 
 
 def test_import_leaves_networkx_unloaded():

@@ -11,7 +11,6 @@ from minmaxlab.harness import (
     grid_search_stationary,
     run_extragradient,
     run_pgda,
-    write_report,
 )
 from minmaxlab.ledger import QueryLedger
 
@@ -299,49 +298,7 @@ class TestFdCheck:
         assert rep.max_rel_err <= 1e-4
 
 
-class TestReport:
-    def test_headers_only_for_empty_runs(self, tmp_path):
-        paths = write_report([], out=str(tmp_path))
-        csv_text = paths[0].read_text()
-        assert csv_text == "run,algorithm,iteration,gap\n"
-
-    def test_identical_runs_identical_bytes(self, tmp_path):
-        run1 = run_pgda(BilinearToy(), steps=100, lr=0.2, seed=3)
-        run2 = run_pgda(BilinearToy(), steps=100, lr=0.2, seed=3)
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        write_report([run1], {"x": {"L": 5}}, out=str(a))
-        write_report([run2], {"x": {"L": 5}}, out=str(b))
-        assert (a / "gap_curves.csv").read_bytes() == (b / "gap_curves.csv").read_bytes()
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-
-    def test_mode_tag_copied(self, tmp_path):
-        import json
-
-        inst = scaled(nor_loop(), n=2)
-        run = run_pgda(GdaObjective(inst), steps=3, lr=0.01)
-        paths = write_report([run], out=str(tmp_path))
-        payload = json.loads(paths[1].read_text())
-        assert payload["runs"][0]["mode"] == "scaled"
-
-    def test_aborted_run_report_is_strict_json(self, tmp_path):
-        import json
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        run = run_pgda(ExplodingObjective(), steps=10, lr=0.1)
-        paths = write_report([run], out=str(tmp_path))
-        payload = json.loads(paths[1].read_text(), parse_constant=reject)
-        assert payload["runs"][0]["best_gap"] is None
-        assert payload["runs"][0]["iterations"] == 0
-        assert payload["runs"][0]["aborted"] is True
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MINMAXLAB_REPORT_DIR", str(tmp_path / "envdir"))
-        paths = write_report([])
-        assert paths[0].parent == tmp_path / "envdir"
-
+class TestLedgerAlongRuns:
     def test_ledger_monotone_along_run(self):
         toy = BilinearToy()
         first = run_pgda(toy, steps=10, lr=0.1)

@@ -1,6 +1,6 @@
 """What the package imports: no module imports a name it never uses, only
-cli takes a sibling's private names, gda reads no files, and the seeded
-draws leave numpy.random unloaded."""
+cli takes a sibling's private names, gda reads no files, harness writes
+none, and the seeded draws leave numpy.random unloaded."""
 
 import ast
 import io
@@ -74,11 +74,19 @@ def test_private_names_stay_in_their_module(name):
     assert not private, f"{name} imports private names {private}"
 
 
-def test_gda_reads_no_files():
-    tree = ast.parse((SRC / "gda.py").read_text())
+def modules_imported(name: str) -> set:
+    tree = ast.parse((SRC / name).read_text())
     modules = {module for module, _ in imports_from(tree)}
-    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    assert "pathlib" not in modules
+    return modules | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+
+
+def test_gda_reads_no_files():
+    assert "pathlib" not in modules_imported("gda.py")
+
+
+# cli writes the solve report as it reads it back in query-report
+def test_harness_writes_no_files():
+    assert not modules_imported("harness.py") & {"csv", "json", "os", "pathlib"}
 
 
 SEEDED_DRAWS = """
