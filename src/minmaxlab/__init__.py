@@ -66,7 +66,7 @@ from .harness import (
     run_pgda,
 )
 from .ledger import QueryLedger
-from .smoothstep import StepSpec, named_step, step_d1, step_d2, step_eval
+from .smoothstep import StepSpec, energy_step, step_d1, step_d2, step_eval
 from .sperner import (
     SpernerInstance,
     SpernerSolution,

@@ -20,7 +20,7 @@ _step_row, from their curve; ORACLE keeps its interpolation row.  A step
 row is plateau-first: an argument at or beyond a knee gets the curve's
 plateau value and flat slope (NamedStep.plateau, signed zeros included);
 only one inside the band calls step_eval or step_d1 on the curve's spec,
-through the affine output NamedStep.value and d1 apply, so smoothstep
+through the affine output NamedStep.__call__ and d1 apply, so smoothstep
 stays the one formula.  build_brouwer, the one emitter, writes the rows
 as straight-line Python and compiles it once into two kernels of a
 frozen BrouwerMap, F and its nonzero slopes, plus one closure per row;

@@ -22,7 +22,9 @@ gates.  A labeling instance (sperner.SpernerInstance, lambda: [M]^d ->
 bits one-hot-select an output coordinate, the leading M*d bits encode
 the grid point blockwise in unary, each labeling query goes through
 SpernerInstance.query (which checks it and charges ``lambda``), and
-malformed selectors return 0 without consuming any lambda query.
+malformed selectors return 0 without consuming any lambda query.  A
+circuit file's sperner oracle wraps sperner.brouwer_to_labeling, the one
+constructor of an induced labeling, so each lambda also charges one ``F``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, NoReturn, Optional
 from .boolinterp import BoolOracle
 from .config import whole_number
 from .ledger import QueryLedger
-from .sperner import SpernerInstance, get_test_map, make_brouwer_labeling
+from .sperner import SpernerInstance, brouwer_to_labeling, get_test_map
 
 #: three-valued "unknown"; assignments map nodes to 0, 1, or BOT.
 BOT = None
@@ -334,10 +336,10 @@ def _oracle_from_spec(spec: Optional[dict], ledger: QueryLedger) -> Optional[Boo
         eps = _json_number(data["eps"], "a sperner oracle's 'eps'")
         if d != test_map.d:
             raise ValueError(f"stored d={d} but map {test_map.name!r} has d={test_map.d}")
-        labeling, derived_m = make_brouwer_labeling(test_map.fn, d, eps)
-        if derived_m != M:
-            raise ValueError(f"stored M={M} but eps={eps} derives M={derived_m}")
-        return build_oracle_from_labeling(SpernerInstance(M, d, labeling, ledger))
+        inst = brouwer_to_labeling(test_map.fn, d, eps, ledger)
+        if inst.M != M:
+            raise ValueError(f"stored M={M} but eps={eps} derives M={inst.M}")
+        return build_oracle_from_labeling(inst)
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 

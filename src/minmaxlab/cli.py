@@ -44,7 +44,7 @@ from .circuit import (
     circuit_to_json,
     validate_instance,
 )
-from .config import DEFAULTS, check_unit_cube, whole_number
+from .config import DEFAULTS, check_nonnegative, check_unit_cube, whole_number
 
 
 def _dumps(payload) -> str:
@@ -61,12 +61,6 @@ def _write(path, text: str) -> None:
 def _finite_or_none(value: float) -> Optional[float]:
     """A float for strict JSON: None (null) where it is NaN or infinite."""
     return value if math.isfinite(value) else None
-
-
-def _check_nonnegative(value: float, flag: str) -> None:
-    """The value of ``flag`` must be finite and >= 0."""
-    if not 0 <= value < math.inf:  # NaN fails
-        raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
 def _load_points(path: Path, expected: int) -> np.ndarray:
@@ -193,7 +187,7 @@ def _cmd_grad_check(args) -> Tuple[int, dict]:
     h = args.h
     harness.check_fd_step(h, "--h")
     whole_number(args.points, "--points", 1)
-    _check_nonnegative(args.tol, "--tol")
+    check_nonnegative(args.tol, "--tol")
     # random.Random would take a negative seed as its absolute value
     whole_number(args.seed, "--seed")
     rng = random.Random(args.seed)
@@ -229,7 +223,7 @@ def _cmd_solve(args) -> Tuple[int, dict]:
     whole_number(args.steps, "--steps", 1)
     whole_number(args.gap_every, "--gap-every", 1)
     if args.lr is not None:
-        _check_nonnegative(args.lr, "--lr")
+        check_nonnegative(args.lr, "--lr")
     whole_number(args.seed, "--seed")
     inst = _load_instance(args.instance, "descriptor")
     runner = harness.run_pgda if args.algo == "pgda" else harness.run_extragradient
@@ -248,7 +242,6 @@ def _cmd_solve(args) -> Tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out / "gap_curves.csv", out / "report.json"
     rows = "".join(f"0,{run.algorithm},{t},{gap!r}\n" for t, gap in run.gap_curve)
-    _write(csv_path, "run,algorithm,iteration,gap\n" + rows)
     report = {
         "runs": [{
             "algorithm": run.algorithm,
@@ -264,7 +257,13 @@ def _cmd_solve(args) -> Tuple[int, dict]:
         "ledgers": {"instance": inst.ledger.snapshot()},
         "extra": extra,
     }
-    _write(json_path, _dumps(report) + "\n")
+    report_text = _dumps(report) + "\n"  # before either write: a report that cannot be made writes nothing
+    _write(csv_path, "run,algorithm,iteration,gap\n" + rows)
+    try:
+        _write(json_path, report_text)
+    except ValueError:  # no curves without their report
+        csv_path.unlink()
+        raise
     payload = {
         "algorithm": run.algorithm,
         "best_gap": _finite_or_none(run.best_gap),

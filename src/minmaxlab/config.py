@@ -1,9 +1,10 @@
 """Shared numeric configuration: one place for tolerances and defaults,
-the one whole-number rule every counted entry point applies, and the one
-unit-cube rule every point entry point applies."""
+and the one rule each kind of input obeys: whole numbers for counts,
+finite and >= 0 for step sizes and tolerances, the unit cube for points."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -17,6 +18,12 @@ def whole_number(value, what: str, minimum: int = 0) -> int:
     if n is None or n != value or n < minimum:
         raise ValueError(f"{what} must be a whole number >= {minimum}, got {value!r}")
     return n
+
+
+def check_nonnegative(value: float, what: str) -> None:
+    """ValueError naming `what` unless value is finite and >= 0."""
+    if not 0 <= value < math.inf:  # NaN fails
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
 
 
 def check_unit_cube(values) -> None:

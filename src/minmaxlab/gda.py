@@ -74,7 +74,7 @@ from .circuit import (
 )
 from .config import DEFAULTS, check_unit_cube, whole_number
 from .ledger import QueryLedger
-from .smoothstep import NamedStep, named_step
+from .smoothstep import NamedStep, energy_step
 
 _MAX_INT64 = 2**63 - 1
 
@@ -209,7 +209,7 @@ def build_gda_instance(circuit: CircuitInstance, params: GdaParams) -> GdaInstan
         node_order=bmap.node_order,
         weights=weights,
         ledger=circuit.ledger,
-        energy_step=named_step("energy", m),
+        energy_step=energy_step(m),
     )
 
 
@@ -234,6 +234,7 @@ def _sqnorms(diff: np.ndarray) -> np.ndarray:
 
 
 def block_energies(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = _check_pair(inst, x, y)
     return np.array([inst.energy_step(s) for s in _sqnorms(inst.blocks(x) - inst.blocks(y))])
 
 
@@ -244,7 +245,6 @@ def _signals_from_energies(bmap: BrouwerMap, energies: List[float]) -> List[floa
 
 
 def signals(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x, y = _check_pair(inst, x, y)
     return np.array(_signals_from_energies(inst.bmap, block_energies(inst, x, y).tolist()))
 
 
@@ -274,6 +274,7 @@ def _weighted_sqnorm(inst: GdaInstance, diff: np.ndarray) -> float:
 
 
 def regularizer(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
+    x, y = _check_pair(inst, x, y)
     return _weighted_sqnorm(inst, inst.blocks(x) - inst.blocks(y))
 
 
@@ -363,7 +364,6 @@ def stationarity_gap(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> float:
 
 def decode_gda(inst: GdaInstance, x: np.ndarray, y: np.ndarray) -> Assignment:
     """b(v) = E_v when the energy is exactly 0 or 1, else bot."""
-    x, y = _check_pair(inst, x, y)
     energies = block_energies(inst, x, y)
     values = {}
     for node, e in zip(inst.node_order, energies):

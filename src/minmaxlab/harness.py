@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULTS, whole_number
+from .config import DEFAULTS, check_nonnegative, whole_number
 from .gda import GdaInstance, endpoint_gap, eval_f, eval_grad_f
 from .ledger import QueryLedger
 
@@ -128,8 +128,7 @@ def _run_gda_family(
     steps = whole_number(steps, "steps", 1)
     if lr is None:
         lr = 0.1 / math.sqrt(steps)
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ValueError("step size must be finite and >= 0")
+    check_nonnegative(lr, "lr")
     gap_every = whole_number(gap_every, "gap_every", 1)
     x, y = _start_point(obj, seed, x0, y0)
     best_gap = math.inf

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 from .config import whole_number
@@ -180,10 +179,8 @@ class NamedStep:
     out_offset: float
     out_sign: float
 
-    def value(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return self.out_offset + self.out_sign * step_eval(self.spec, x)
-
-    __call__ = value
 
     def d1(self, x: float) -> float:
         return self.out_sign * step_d1(self.spec, x)
@@ -197,30 +194,16 @@ class NamedStep:
         can answer there from these numbers; they are the curve's own
         outputs, signed zeros included."""
         c1, c2 = self.spec.c1, self.spec.c2
-        return c1, c2, self.value(c1), self.value(c2), self.d1(c1)
+        return c1, c2, self(c1), self(c2), self.d1(c1)
 
 
-@lru_cache(maxsize=None)
-def named_step(kind: str, m: int | None = None) -> NamedStep:
-    """Return one of the named composites: g, ell, alpha, or energy(m).
-
-    g(z)    = 1 - step_{1/3,2/3}(z)      (equivalently step_{1/3,2/3}(1-z))
-    ell(z)  = step_{5/12,7/12}(z)
-    alpha(t)= 1 - step_{1/6,1/3}(t)
-    energy(m) = step_{3m,3m+1}(.)        (m >= 1 integer)
-    """
-    if kind == "g":
-        return NamedStep("g", StepSpec(1.0 / 3.0, 2.0 / 3.0), 1.0, -1.0)
-    if kind == "ell":
-        return NamedStep("ell", StepSpec(5.0 / 12.0, 7.0 / 12.0), 0.0, 1.0)
-    if kind == "alpha":
-        return NamedStep("alpha", StepSpec(1.0 / 6.0, 1.0 / 3.0), 1.0, -1.0)
-    if kind == "energy":
-        m = whole_number(m, "the energy step's m", 1)
-        return NamedStep(f"energy({m})", StepSpec(3.0 * m, 3.0 * m + 1.0), 0.0, 1.0)
-    raise ValueError(f"unknown step kind {kind!r}")
+G = NamedStep("g", StepSpec(1.0 / 3.0, 2.0 / 3.0), 1.0, -1.0)
+ELL = NamedStep("ell", StepSpec(5.0 / 12.0, 7.0 / 12.0), 0.0, 1.0)
+ALPHA = NamedStep("alpha", StepSpec(1.0 / 6.0, 1.0 / 3.0), 1.0, -1.0)
 
 
-G = named_step("g")
-ELL = named_step("ell")
-ALPHA = named_step("alpha")
+def energy_step(m: int) -> NamedStep:
+    """The energy threshold energy(m) = step_{3m,3m+1}(.); m must be a whole
+    number >= 1."""
+    m = whole_number(m, "the energy step's m", 1)
+    return NamedStep(f"energy({m})", StepSpec(3.0 * m, 3.0 * m + 1.0), 0.0, 1.0)

@@ -20,10 +20,11 @@ at most eps.
 SpernerInstance.query checks in one walk that a point has d integral
 coordinates in [1..M] (a non-integral one raises, it is not truncated;
 a tuple of in-range ints passes as it is) before charging the ledger,
-and accepts only labels equal to -1 or +1.  The induced labeling charges
-its F query itself, hands F an ndarray, requires d finite values back,
-and compares on Python floats with the operations of the float64 formula
-above, so the labels are the same bits.
+and accepts only labels equal to -1 or +1.  brouwer_to_labeling is the
+one constructor of an induced labeling: each of its queries charges
+``lambda`` and one ``F`` to the instance's ledger, hands F an ndarray,
+requires d finite values back, and compares on Python floats with the
+operations of the float64 formula above, so the labels are the same bits.
 
 The exhaustive search labels the grid in one walk, _label_grid, that
 queries every grid point in row-major order and keeps one packed code
@@ -164,28 +165,32 @@ def grid_to_cube(point: Sequence[int], M: int) -> np.ndarray:
     return np.array([(t - 1.0) / (M - 1.0) for t in point], dtype=float)
 
 
-def make_brouwer_labeling(
-    F: Callable[[np.ndarray], np.ndarray], d: int, eps: float, ledger: Optional[QueryLedger] = None
-) -> Tuple[Callable[[GridPoint], Tuple[int, ...]], int]:
-    """Labeling induced by F at accuracy eps; returns (fn, M).  With a
-    ledger, each call of fn charges it one "F" query, before F runs.
+def brouwer_to_labeling(
+    F: Callable[[np.ndarray], np.ndarray],
+    d: int,
+    eps: float,
+    ledger: Optional[QueryLedger] = None,
+) -> SpernerInstance:
+    """The labeling instance F induces at accuracy eps, on a fresh ledger when
+    none is given.  Each labeling query charges ``lambda`` and, before F
+    runs, one ``F`` query to that ledger.
 
-    fn takes points of [1..M]^d with int coordinates, as SpernerInstance.query
-    hands them on.  F gets phi(p) as an ndarray and must return d finite
-    values (ValueError otherwise); the comparison runs on Python floats with
-    the operations, and their order, of
+    The labeling takes points of [1..M]^d with int coordinates, as
+    SpernerInstance.query hands them on.  F gets phi(p) as an ndarray and
+    must return d finite values (ValueError otherwise); the comparison runs
+    on Python floats with the operations, and their order, of
     (1 - eps/2) * F(z) + (eps/2) * 0.5 > z on float64 arrays, so the labels
     are those of that formula."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
+    ledger = ledger or QueryLedger()
     M = math.ceil(1.0 + 3.0 / eps)
     scale, shift = float(1.0 - eps / 2.0), float((eps / 2.0) * 0.5)
     phi = [(t - 1.0) / (M - 1.0) for t in range(M + 1)]  # phi[t], the grid_to_cube value
     shape = (d,)
 
     def labeling(point: GridPoint) -> Tuple[int, ...]:
-        if ledger is not None:
-            ledger.record("F")
+        ledger.record("F")
         z = [phi[t] for t in point]
         fz = np.asarray(F(np.array(z, dtype=float)), dtype=float)
         if fz.shape != shape:
@@ -195,18 +200,6 @@ def make_brouwer_labeling(
             raise ValueError(f"F returned a non-finite value at {point}: {fz}")
         return tuple([1 if scale * f + shift > x else -1 for f, x in zip(fz, z)])
 
-    return labeling, M
-
-
-def brouwer_to_labeling(
-    F: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    eps: float,
-    ledger: Optional[QueryLedger] = None,
-) -> SpernerInstance:
-    """Counted labeling instance; each lambda query charges one F query too."""
-    ledger = ledger or QueryLedger()
-    labeling, M = make_brouwer_labeling(F, d, eps, ledger)
     return SpernerInstance(M=M, d=d, labeling=labeling, ledger=ledger)
 
 

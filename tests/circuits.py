@@ -14,7 +14,7 @@ from minmaxlab.circuit import (
     purify,
 )
 from minmaxlab.ledger import QueryLedger
-from minmaxlab.sperner import SpernerInstance, get_test_map, make_brouwer_labeling
+from minmaxlab.sperner import brouwer_to_labeling, get_test_map
 
 
 def nor_loop(ledger=None):
@@ -132,9 +132,8 @@ def build_chain(eps=0.2):
     oracle's own output node.
     """
     fmap = get_test_map("smoothed_rotation")
-    labeling, M = make_brouwer_labeling(fmap.fn, fmap.d, eps)
     ledger = QueryLedger()
-    oracle = build_oracle_from_labeling(SpernerInstance(M, fmap.d, labeling, ledger))
+    oracle = build_oracle_from_labeling(brouwer_to_labeling(fmap.fn, fmap.d, eps, ledger))
     assert oracle.arity == 34
 
     inputs = [f"p{i}" for i in range(1, 35)]

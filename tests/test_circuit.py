@@ -500,6 +500,11 @@ class TestJsonFormat:
         # malformed selector: all zero tail bits
         assert inst.oracle.query((0,) * 34) == 0
         assert inst.ledger.count("lambda") == 0
+        # one-hot selector at grid point (1, 1): the constant map's 1/2 lies
+        # above phi(1) = 0, so label 1 is +1; one lambda and the one F it reads
+        assert inst.oracle.query((0,) * 32 + (1, 0)) == 1
+        assert inst.ledger.count("lambda") == 1
+        assert inst.ledger.count("F") == 1
 
     @staticmethod
     def parse(*gates):

@@ -511,6 +511,14 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == f"error: {afile}: File exists\n"
 
+    def test_unwritable_report_leaves_no_curves(self, gda_file, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert main(["solve", str(gda_file), "--algo", "pgda", "--steps", "5", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'report.json'}: Is a directory\n"
+        assert not (tmp_path / "gap_curves.csv").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -496,7 +496,8 @@ class TestEvalF:
             eval_f(inst, bad, good)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("fn", [eval_f, eval_grad_f])
+    @pytest.mark.parametrize("fn", [eval_f, eval_grad_f, block_energies, regularizer, signals, stationarity_gap,
+                                    decode_gda, dichotomy_extract])
     def test_non_finite_rejected(self, fn, bad):
         inst = scaled(nor_loop(), n=2)
         good = np.full(inst.dim, 0.5)

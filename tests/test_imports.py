@@ -1,11 +1,13 @@
 """What the package imports: no module imports a name it never uses, only
 cli takes a sibling's private names, gda reads no files, harness writes
-none, and the seeded draws leave numpy.random unloaded."""
+none, and the seeded draws leave numpy.random unloaded.  And what it
+charges: every ledger key is one that ledger.py documents."""
 
 import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -87,6 +89,21 @@ def test_gda_reads_no_files():
 # cli writes the solve report as it reads it back in query-report
 def test_harness_writes_no_files():
     assert not modules_imported("harness.py") & {"csv", "json", "os", "pathlib"}
+
+
+def test_ledger_keys_are_the_documented_ones():
+    # the counts are the paper's measure of cost: a key is added or dropped
+    # only together with its line in ledger.py's docstring
+    keys = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "record":
+                key = node.args[0]
+                assert isinstance(key, ast.Constant) and isinstance(key.value, str), f"{path.name}:{node.lineno}"
+                keys.add(key.value)
+    documented = re.findall(r"``(\w+)``", ast.get_docstring(ast.parse((SRC / "ledger.py").read_text())))
+    assert len(documented) == len(set(documented))
+    assert keys == set(documented)
 
 
 SEEDED_DRAWS = """

@@ -41,15 +41,17 @@ class TestChain:
         after = circuit.ledger.snapshot()
         assert after["L"] - before.get("L", 0) == 1
         assert after["lambda"] - before.get("lambda", 0) == 1
+        assert after["F"] - before.get("F", 0) == 1
         assert out[idx["o"]] in (0.0, 1.0)
 
     def test_malformed_selector_spares_the_labeling(self):
         circuit = build_chain()
         bmap = build_brouwer(circuit)
         z = np.zeros(35)  # all-zero selector: oracle answers 0 directly
-        before = circuit.ledger.count("lambda")
+        before = circuit.ledger.snapshot()
         eval_F(bmap, z)
-        assert circuit.ledger.count("lambda") == before
+        assert circuit.ledger.count("lambda") == before.get("lambda", 0)
+        assert circuit.ledger.count("F") == before.get("F", 0)
         assert circuit.ledger.count("L") == 1
 
     def test_jacobian_queries_bounded_by_nodes(self):

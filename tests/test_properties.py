@@ -52,8 +52,8 @@ from minmaxlab.sperner import (
     GridPoint,
     SpernerInstance,
     SpernerSolution,
+    brouwer_to_labeling,
     find_sperner_solution_exhaustive,
-    make_brouwer_labeling,
     verify_sperner_solution,
 )
 
@@ -486,7 +486,8 @@ def test_labeling_matches_numpy_formula(d, eps, identity, data):
         assert isinstance(z, np.ndarray)
         return c + A @ z
 
-    labeling, M = make_brouwer_labeling(F, d, eps)
+    inst = brouwer_to_labeling(F, d, eps)
+    labeling, M = inst.labeling, inst.M
     point = tuple(data.draw(st.lists(st.integers(1, M), min_size=d, max_size=d)))
     z = (np.asarray(point, dtype=float) - 1.0) / (M - 1.0)
     fn = (1 - eps / 2) * F(z) + (eps / 2) * 0.5
@@ -494,7 +495,8 @@ def test_labeling_matches_numpy_formula(d, eps, identity, data):
 
 
 def test_labeling_tie_gets_minus_one():
-    labeling, M = make_brouwer_labeling(lambda z: z, 1, 0.5)
+    inst = brouwer_to_labeling(lambda z: z, 1, 0.5)
+    labeling, M = inst.labeling, inst.M
     z = (np.asarray((4,), dtype=float) - 1.0) / (M - 1.0)
     assert M == 7 and z[0] == 0.5
     assert (1 - 0.5 / 2) * z[0] + (0.5 / 2) * 0.5 == z[0]  # an exact tie

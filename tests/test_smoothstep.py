@@ -12,7 +12,7 @@ from minmaxlab.smoothstep import (
     _eta,
     d1_bound,
     d2_bound,
-    named_step,
+    energy_step,
     step_d1,
     step_d2,
     step_eval,
@@ -148,7 +148,7 @@ class TestDerivatives:
         assert d1_bound(THIRDS) == pytest.approx(math.exp(6.0))
         assert d2_bound(THIRDS) == pytest.approx(12.0 * math.exp(12.0))
 
-    @pytest.mark.parametrize("curve", [G, ELL, ALPHA, named_step("energy", 2)])
+    @pytest.mark.parametrize("curve", [G, ELL, ALPHA, energy_step(2)])
     def test_named_step_bounds(self, curve):
         rng = np.random.default_rng(19)
         spec = curve.spec
@@ -189,7 +189,7 @@ KNEE_OFFSETS = [None, 1e-4, 1 / 800, 1 / 745, 1 / 720, 1 / 700, 1 / 500, 0.005, 
 
 
 class TestKneeDerivativesAgainstMpmath:
-    @pytest.mark.parametrize("curve", [G, ELL, ALPHA, named_step("energy", 1), named_step("energy", 4)],
+    @pytest.mark.parametrize("curve", [G, ELL, ALPHA, energy_step(1), energy_step(4)],
                              ids=lambda c: c.name)
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_just_inside_knees(self, curve, side):
@@ -358,7 +358,7 @@ class TestUnderflowingNumerator:
         assert checked > 1900
         assert off == 0 and off_before >= before
 
-    @pytest.mark.parametrize("curve", [G, ELL, ALPHA] + [named_step("energy", m) for m in range(1, 13)],
+    @pytest.mark.parametrize("curve", [G, ELL, ALPHA] + [energy_step(m) for m in range(1, 13)],
                              ids=lambda c: c.name)
     def test_named_curves_keep_their_bits(self, curve):
         # within 1/760 to 1/690 of a knee an eta turns from subnormal to
@@ -396,7 +396,7 @@ class TestNamedSteps:
         assert 0.0 < ALPHA(0.25) < 1.0
 
     def test_energy_spec(self):
-        e3 = named_step("energy", 3)
+        e3 = energy_step(3)
         assert e3.spec.c1 == 9.0
         assert e3.spec.c2 == 10.0
         assert e3(9.0) == 0.0
@@ -404,17 +404,11 @@ class TestNamedSteps:
 
     def test_energy_requires_valid_m(self):
         with pytest.raises(ValueError):
-            named_step("energy")
-        with pytest.raises(ValueError):
-            named_step("energy", 0)
+            energy_step(0)
         for m in (2.5, math.inf, math.nan, "3"):
             with pytest.raises(ValueError, match="whole number"):
-                named_step("energy", m)
-        assert named_step("energy", 3.0).name == "energy(3)"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            named_step("sigmoid")
+                energy_step(m)
+        assert energy_step(3.0).name == "energy(3)"
 
     def test_named_derivatives_chain_rule(self):
         rng = np.random.default_rng(29)

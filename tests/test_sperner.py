@@ -15,7 +15,6 @@ from minmaxlab.sperner import (
     find_sperner_solution_exhaustive,
     get_test_map,
     grid_to_cube,
-    make_brouwer_labeling,
     verify_sperner_solution,
 )
 
@@ -134,10 +133,8 @@ class TestQueryValidation:
 
 class TestReduction:
     def test_grid_width_formula(self):
-        _, M = make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.1)
-        assert M == 31
-        _, M = make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.2)
-        assert M == 16
+        assert brouwer_to_labeling(TEST_MAPS["constant"].fn, 2, 0.1).M == 31
+        assert brouwer_to_labeling(TEST_MAPS["constant"].fn, 2, 0.2).M == 16
 
     @pytest.mark.parametrize(
         "output",
@@ -156,18 +153,17 @@ class TestReduction:
         def fmap(z):
             return np.array(output)
 
-        labeling, M = make_brouwer_labeling(fmap, 3, 0.5)
-        with pytest.raises(ValueError):
-            labeling((2, 3, 4))
         inst = brouwer_to_labeling(fmap, 3, 0.5)
+        with pytest.raises(ValueError):
+            inst.labeling((2, 3, 4))
         with pytest.raises(ValueError):
             inst.query((2, 3, 4))
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 0.0)
+            brouwer_to_labeling(TEST_MAPS["constant"].fn, 2, 0.0)
         with pytest.raises(ValueError):
-            make_brouwer_labeling(TEST_MAPS["constant"].fn, 2, 1.5)
+            brouwer_to_labeling(TEST_MAPS["constant"].fn, 2, 1.5)
 
     def test_constant_map_label_rule(self):
         # normalized constant map stays at 1/2, so the label flips there
@@ -229,8 +225,7 @@ class TestReduction:
         def pinned(z):
             return (z - (eps / 2) * 0.5) / (1 - eps / 2)  # so normalized == z
 
-        labeling, _ = make_brouwer_labeling(pinned, 2, eps)
-        assert labeling((5, 5)) == (-1, -1)
+        assert brouwer_to_labeling(pinned, 2, eps).labeling((5, 5)) == (-1, -1)
 
 
 class TestEndToEnd:
